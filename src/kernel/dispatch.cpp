@@ -1,8 +1,9 @@
 // Runtime ISA dispatch. CPU feature probes are memoized in function-local
 // statics (__builtin_cpu_supports used to run on every resolve() call), the
-// XOREC_FORCE_ISA environment override is parsed once, and every resolution
-// funnels through kernel_table() so interpreter and lowered backend agree on
-// which kernel family executes.
+// XOREC_FORCE_ISA environment override is parsed once (net::crc32 reads it
+// too, to choose between its table loop and carry-less fold), and every
+// resolution funnels through kernel_table() so interpreter and lowered
+// backend agree on which kernel family executes.
 #include <cstdlib>
 #include <cstring>
 
@@ -12,11 +13,10 @@ namespace xorec::kernel {
 
 namespace {
 
-// Override state shared by forced_isa()/set_forced_isa_for_testing(). The
-// environment is consulted lazily exactly once; the test hook replaces the
-// resolved value outright.
+// Test-hook state for set_forced_isa_for_testing(): when `replaced`, `value`
+// stands in for the environment override outright.
 struct ForceState {
-  bool parsed = false;
+  bool replaced = false;
   std::optional<Isa> value;
 };
 
@@ -100,18 +100,26 @@ bool cpu_has_neon() {
 #endif
 }
 
+bool cpu_has_pclmul() {
+#if defined(XOREC_HAVE_PCLMUL)
+  static const bool has = __builtin_cpu_supports("pclmul");
+  return has;
+#else
+  return false;
+#endif
+}
+
 std::optional<Isa> forced_isa() {
-  ForceState& s = force_state();
-  if (!s.parsed) {
-    s.value = parse_env_force();
-    s.parsed = true;
-  }
-  return s.value;
+  // Read from every thread (each dispatch and each net::crc32 call): the
+  // environment is parsed once under the thread-safe static initializer.
+  static const std::optional<Isa> from_env = parse_env_force();
+  const ForceState& s = force_state();
+  return s.replaced ? s.value : from_env;
 }
 
 void set_forced_isa_for_testing(std::optional<Isa> isa) {
   ForceState& s = force_state();
-  s.parsed = true;
+  s.replaced = true;
   s.value = isa;
 }
 

@@ -75,6 +75,8 @@ void xor_many(uint8_t* dst, const uint8_t* const* srcs, size_t k, size_t len,
 bool cpu_has_avx2();
 bool cpu_has_avx512();
 bool cpu_has_neon();
+/// Carry-less multiply, used by net::crc32 (not by the XOR kernels).
+bool cpu_has_pclmul();
 
 /// The XOREC_FORCE_ISA override (parsed from the environment once, on first
 /// dispatch): when set, EVERY resolution — Auto and explicit requests alike —

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <stdexcept>
 
@@ -15,12 +16,23 @@ namespace xorec::net {
 
 namespace {
 
-void write_all(int fd, const uint8_t* data, size_t len) {
+/// Send without blocking past `timeout_ms` per wait: MSG_DONTWAIT sends what
+/// the socket buffer takes and poll waits for room. MSG_NOSIGNAL turns a
+/// peer that closed into EPIPE (an exception) instead of a process-killing
+/// SIGPIPE.
+void write_all(int fd, const uint8_t* data, size_t len, int timeout_ms) {
   size_t off = 0;
   while (off < len) {
-    const ssize_t n = ::write(fd, data + off, len - off);
-    if (n <= 0) throw std::runtime_error("net::Client: connection write failed");
-    off += static_cast<size_t>(n);
+    const ssize_t n = ::send(fd, data + off, len - off, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      off += static_cast<size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)
+      throw std::runtime_error("net::Client: connection write failed");
+    pollfd pfd{fd, POLLOUT, 0};
+    if (::poll(&pfd, 1, timeout_ms) <= 0)
+      throw std::runtime_error("net::Client: request write timeout");
   }
 }
 
@@ -63,7 +75,7 @@ Client::~Client() {
 
 FrameView Client::roundtrip(const std::vector<uint8_t>& frame,
                             std::vector<uint8_t>& body) {
-  write_all(fd_, frame.data(), frame.size());
+  write_all(fd_, frame.data(), frame.size(), timeout_ms_);
 
   uint8_t header_buf[wire::kFrameHeaderSize];
   read_all(fd_, header_buf, sizeof(header_buf), timeout_ms_);

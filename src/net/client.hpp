@@ -6,7 +6,9 @@
 //
 // Every call either returns with the outputs written or throws:
 //   std::runtime_error    - transport failure / server Error frame (the
-//                           server's message is the exception text)
+//                           server's message is the exception text), a
+//                           peer that closed (never SIGPIPE), or a send or
+//                           receive that waited `timeout_ms` for progress
 //   std::invalid_argument - arguments that cannot form a valid frame
 #pragma once
 

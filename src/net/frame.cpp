@@ -2,7 +2,10 @@
 
 #include <bit>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
+
+#include "kernel/xor_kernel.hpp"
 
 namespace xorec::net {
 
@@ -28,9 +31,36 @@ const Crc32Table& crc_table() {
 
 }  // namespace
 
+#if defined(XOREC_HAVE_PCLMUL)
+// crc32_pclmul.cpp: the inverted CRC state advanced over len bytes,
+// len >= 64 and a multiple of 16.
+uint32_t crc32_fold_pclmul(uint32_t crc, const uint8_t* data, size_t len);
+
+namespace {
+
+/// The carry-less fold runs unless the host lacks PCLMULQDQ or
+/// XOREC_FORCE_ISA pins a non-SIMD kernel tier (scalar, word64), which keeps
+/// the table loop so forced-ISA runs check both paths.
+bool use_pclmul() {
+  if (!kernel::cpu_has_pclmul()) return false;
+  const std::optional<kernel::Isa> forced = kernel::forced_isa();
+  return !forced || (*forced != kernel::Isa::Scalar && *forced != kernel::Isa::Word64);
+}
+
+}  // namespace
+#endif
+
 uint32_t crc32(const uint8_t* data, size_t len, uint32_t seed) {
-  const Crc32Table& table = crc_table();
   uint32_t c = ~seed;
+#if defined(XOREC_HAVE_PCLMUL)
+  if (len >= 64 && use_pclmul()) {
+    const size_t folded = len & ~size_t{15};
+    c = crc32_fold_pclmul(c, data, folded);
+    data += folded;
+    len -= folded;
+  }
+#endif
+  const Crc32Table& table = crc_table();
   for (size_t i = 0; i < len; ++i) c = (c >> 8) ^ table.t[(c ^ data[i]) & 0xff];
   return ~c;
 }
@@ -170,7 +200,7 @@ std::vector<uint8_t> build_frame(FrameHeader header, std::string_view spec,
 
   std::vector<uint8_t> frame(wire::kFrameHeaderSize + header.body_size());
   uint8_t* body = frame.data() + wire::kFrameHeaderSize;
-  std::memcpy(body, spec.data(), spec.size());
+  if (!spec.empty()) std::memcpy(body, spec.data(), spec.size());  // data() may be null
   uint8_t* frag = body + spec.size();
   for (size_t i = 0; i < header.payload_count; ++i, frag += header.frag_len)
     std::memcpy(frag, payloads[i], header.frag_len);
@@ -260,7 +290,7 @@ std::vector<uint8_t> build_packet(PacketHeader header, std::string_view spec,
 
   std::vector<uint8_t> packet(wire::kPacketHeaderSize + spec.size() + payload.size());
   uint8_t* body = packet.data() + wire::kPacketHeaderSize;
-  std::memcpy(body, spec.data(), spec.size());
+  if (!spec.empty()) std::memcpy(body, spec.data(), spec.size());  // data() may be null
   if (!payload.empty()) std::memcpy(body + spec.size(), payload.data(), payload.size());
   header.body_crc = crc32(body, spec.size() + payload.size());
   encode_packet_header(header, packet.data());

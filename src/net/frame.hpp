@@ -41,7 +41,10 @@ namespace xorec::net {
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), the checksum both
 /// wire formats carry. `seed` chains multi-buffer CRCs: crc32(b, ...,
-/// crc32(a, ...)) == CRC of a||b.
+/// crc32(a, ...)) == CRC of a||b. On x86 hosts with PCLMULQDQ, buffers of
+/// 64 bytes or more are folded by carry-less multiplication; XOREC_FORCE_ISA
+/// = scalar or word64 keeps the byte-wise table loop. Both give the same
+/// value.
 uint32_t crc32(const uint8_t* data, size_t len, uint32_t seed = 0);
 
 namespace wire {

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
@@ -467,11 +468,11 @@ struct NetServer::Impl {
     return true;
   }
 
-  /// Gather every queued segment (bounded by kMaxIov) into one writev:
-  /// header and strip payload leave from their own buffers, and several
-  /// queued frames batch into a single syscall. `out_off` tracks how far
-  /// into the FRONT outbound the wire has advanced; partial writes resume
-  /// mid-segment on the next pass.
+  /// Gather every queued segment (bounded by kMaxIov) into one sendmsg
+  /// (counted in writev_calls): header and strip payload leave from their
+  /// own buffers, and several queued frames batch into a single syscall.
+  /// `out_off` tracks how far into the FRONT outbound the wire has advanced;
+  /// partial writes resume mid-segment on the next pass.
   static constexpr int kMaxIov = 16;
 
   bool handle_write(Conn& c) {
@@ -493,9 +494,14 @@ struct NetServer::Impl {
           ++n_iov;
         }
       }
-      const ssize_t n = ::writev(c.fd, iov, n_iov);
-      if (n < 0) return true;  // EAGAIN
-      if (n == 0) {
+      // sendmsg rather than writev for MSG_NOSIGNAL: a peer that closed
+      // is a closed connection here, not a SIGPIPE for the process.
+      msghdr msg{};
+      msg.msg_iov = iov;
+      msg.msg_iovlen = static_cast<size_t>(n_iov);
+      const ssize_t n = ::sendmsg(c.fd, &msg, MSG_NOSIGNAL);
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) return true;
+      if (n <= 0) {
         close_conn(c.fd);
         return false;
       }

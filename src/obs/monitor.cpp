@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstring>
 #include <stdexcept>
 #include <string_view>
@@ -307,8 +308,11 @@ struct MonitorServer::Impl {
   /// Returns false when the connection was closed.
   bool handle_write(Conn& c) {
     while (!c.out.empty()) {
-      const ssize_t n = ::write(c.fd, c.out.data(), c.out.size());
-      if (n < 0) return true;  // EAGAIN; poll will call back
+      // MSG_NOSIGNAL: a scraper that hung up must not SIGPIPE the process.
+      const ssize_t n = ::send(c.fd, c.out.data(), c.out.size(), MSG_NOSIGNAL);
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR))
+        return true;  // poll will call back
+      if (n <= 0) break;
       c.out.remove_prefix(static_cast<size_t>(n));
     }
     close_conn(c.fd);  // HTTP/1.0: one response, then close

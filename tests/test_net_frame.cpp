@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "kernel/xor_kernel.hpp"
 #include "net/frame.hpp"
 
 using namespace xorec::net;
@@ -335,3 +337,97 @@ TEST(NetFrame, CrcChainsAcrossBuffers) {
   EXPECT_NE(crc32(a, sizeof a), 0u);
   EXPECT_STREQ(frame_error_name(FrameError::BadCrc), "bad_crc");
 }
+
+// ---- CRC-32 on both paths ----------------------------------------------------
+// net::crc32 folds buffers of 64 bytes or more by carry-less multiplication
+// when the host has PCLMULQDQ, and keeps the table loop under a forced scalar
+// ISA. Each test runs under Scalar (table loop on any host) and Auto (the
+// fold, where the host has it) against a bit-at-a-time reference.
+
+namespace {
+
+/// One byte through the reflected 0xEDB88320 register, bit by bit: the
+/// definition, independent of both the table and the fold.
+uint32_t reference_step(uint32_t state, uint8_t byte) {
+  state ^= byte;
+  for (int b = 0; b < 8; ++b) state = (state >> 1) ^ (0xEDB88320u & (0u - (state & 1)));
+  return state;
+}
+
+std::vector<uint8_t> crc_test_bytes(size_t n) {
+  std::vector<uint8_t> v(n);
+  for (size_t i = 0; i < n; ++i) v[i] = static_cast<uint8_t>(mix64(i));
+  return v;
+}
+
+class NetCrc : public ::testing::TestWithParam<xorec::kernel::Isa> {
+ protected:
+  void SetUp() override {
+    saved_ = xorec::kernel::forced_isa();
+    xorec::kernel::set_forced_isa_for_testing(GetParam());
+  }
+  void TearDown() override { xorec::kernel::set_forced_isa_for_testing(saved_); }
+
+  /// For each of 16 misalignments and both seeds, checks crc32 of every
+  /// prefix length in [0, max_len] (or only max_len when `every_length` is
+  /// false) against the reference, advanced one byte at a time.
+  static void expect_matches_reference(size_t max_len, bool every_length) {
+    const std::vector<uint8_t> bytes = crc_test_bytes(max_len + 16);
+    for (size_t offset = 0; offset < 16; ++offset) {
+      const uint8_t* p = bytes.data() + offset;
+      for (const uint32_t seed : {0u, 0x12345678u}) {
+        uint32_t state = ~seed;
+        size_t mismatches = 0, first_bad_len = 0;
+        for (size_t len = 0; len <= max_len; ++len) {
+          if ((every_length || len == max_len) && crc32(p, len, seed) != ~state &&
+              mismatches++ == 0)
+            first_bad_len = len;
+          if (len < max_len) state = reference_step(state, p[len]);
+        }
+        EXPECT_EQ(mismatches, 0u) << "first at len " << first_bad_len << ", offset "
+                                  << offset << ", seed 0x" << std::hex << seed;
+      }
+    }
+  }
+
+ private:
+  std::optional<xorec::kernel::Isa> saved_;
+};
+
+}  // namespace
+
+TEST_P(NetCrc, KnownAnswerPinsThePolynomial) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(reinterpret_cast<const uint8_t*>(check.data()), check.size()),
+            0xCBF43926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+TEST_P(NetCrc, MatchesBytewiseReferenceAtEveryLengthOffsetAndSeed) {
+  expect_matches_reference(1024, /*every_length=*/true);
+}
+
+TEST_P(NetCrc, MatchesBytewiseReferenceOnAnEncodeRequestBody) {
+  // A 64 KiB rs(10,4)@block=1024 encode request: the 19-byte spec plus ten
+  // 6528-byte data fragments.
+  expect_matches_reference(65299, /*every_length=*/false);
+}
+
+TEST_P(NetCrc, ChainsAtEverySplitPoint) {
+  const std::vector<uint8_t> bytes = crc_test_bytes(300);
+  const uint32_t whole = crc32(bytes.data(), bytes.size());
+  uint32_t state = ~0u;
+  for (const uint8_t b : bytes) state = reference_step(state, b);
+  EXPECT_EQ(whole, ~state);
+  for (size_t split = 0; split <= bytes.size(); ++split)
+    EXPECT_EQ(crc32(bytes.data() + split, bytes.size() - split, crc32(bytes.data(), split)),
+              whole)
+        << "split " << split;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CrcPaths, NetCrc,
+    ::testing::Values(xorec::kernel::Isa::Scalar, xorec::kernel::Isa::Auto),
+    [](const ::testing::TestParamInfo<xorec::kernel::Isa>& info) {
+      return std::string(xorec::kernel::isa_name(info.param));
+    });

@@ -2,8 +2,14 @@
 // UDP socket): remote encode matches local encode byte for byte, remote
 // reconstruct is a wire-served degraded read, malformed and unsatisfiable
 // requests come back as clean Error frames on a connection that stays
-// usable, and the per-pool ServiceStats net counters see the traffic.
+// usable, the per-pool ServiceStats net counters see the traffic, and a
+// client whose peer closed or stopped reading throws instead of dying of
+// SIGPIPE or hanging.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstring>
@@ -48,6 +54,24 @@ struct ServerFixture {
   NetServer server;
   ServerFixture() : server(service, {}) { server.start(); }
   ~ServerFixture() { server.stop(); }
+};
+
+/// A 10 MiB rs(10,4) encode: more than the loopback socket buffers hold, so
+/// the client's request write cannot complete without the peer reading.
+struct BigEncode {
+  static constexpr uint32_t k = 10, m = 4;
+  static constexpr size_t frag_len = 1u << 20;
+  std::vector<std::vector<uint8_t>> data{k, std::vector<uint8_t>(frag_len, 0x5a)};
+  std::vector<std::vector<uint8_t>> parity{m, std::vector<uint8_t>(frag_len)};
+  std::vector<const uint8_t*> data_ptrs;
+  std::vector<uint8_t*> parity_ptrs;
+  BigEncode() {
+    for (auto& d : data) data_ptrs.push_back(d.data());
+    for (auto& p : parity) parity_ptrs.push_back(p.data());
+  }
+  void run(Client& client) {
+    client.encode("rs(10,4)", data_ptrs.data(), k, parity_ptrs.data(), m, frag_len);
+  }
 };
 
 }  // namespace
@@ -252,6 +276,64 @@ TEST(NetServer, ManySequentialRequestsAndSecondClient) {
   const NetServerStats stats = fx.server.stats();
   EXPECT_GE(stats.connections_accepted, 2u);
   EXPECT_GE(stats.requests, 16u);
+}
+
+TEST(NetServer, WritingToAClosedPeerThrowsInsteadOfRaisingSigpipe) {
+  // Regression: no send passed MSG_NOSIGNAL, so a request written to a
+  // connection the server had closed raised SIGPIPE and the process died
+  // (status 141) instead of the client throwing.
+  CodecService service;
+  NetServer server(service, {});
+  server.start();
+  Client client("127.0.0.1", server.tcp_port());
+  client.ping();
+  server.stop();  // closes the accepted connection under the client
+
+  BigEncode enc;
+  EXPECT_THROW(enc.run(client), std::runtime_error);
+}
+
+TEST(NetServer, ClientWriteHonoursTheTimeout) {
+  // Regression: write_all blocked with no timeout, so a request to a peer
+  // that never reads hung forever. A listening socket that never accepts is
+  // such a peer: the kernel completes the handshake from the backlog, then
+  // the socket buffers fill and stay full.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t sa_len = sizeof(sa);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
+  ASSERT_EQ(::listen(listener, 4), 0);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&sa), &sa_len), 0);
+  const uint16_t port = ntohs(sa.sin_port);
+
+  bool threw = false;
+  std::chrono::steady_clock::duration elapsed{};
+  std::promise<void> done;
+  std::future<void> fut = done.get_future();
+  std::thread encoder([&] {
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+      Client client("127.0.0.1", port, /*timeout_ms=*/200);
+      BigEncode enc;
+      enc.run(client);
+    } catch (const std::runtime_error&) {
+      threw = true;
+    }
+    elapsed = std::chrono::steady_clock::now() - t0;
+    done.set_value();
+  });
+  const bool in_time = fut.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  // Closing the listener resets the queued connection, which unblocks a
+  // client that ignores its timeout, so a regressed build fails here rather
+  // than hanging the suite.
+  ::close(listener);
+  encoder.join();
+  EXPECT_TRUE(in_time) << "a 10 MiB encode to a peer that never reads ignored timeout_ms";
+  EXPECT_TRUE(threw);
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
 }
 
 TEST(NetServer, UdpGroupsAreServedOnTheSharedSocket) {
