@@ -1,24 +1,16 @@
 // Execution-backend comparison: the lowered straight-line programs
 // (exec=lowered — pre-resolved fixed-arity kernels, accumulate fusion,
-// optional streaming stores) and the runtime-compiled native plans
-// (exec=jit — runtime/codegen_c -> cc -O2 -shared -> dlopen, served from
-// the cross-process artifact cache) against the interpreting executor
+// optional streaming stores) against the interpreting executor
 // (exec=interp) on the same compiled plans, for rs/cauchy/lrc at the
 // default block size, with the isal-style baseline as the yardstick the
 // paper measures against.
 //
 // Artifact: BENCH_exec_backend.json (override with XOREC_EXEC_JSON) in the
 // shared bench_json.hpp schema — one encode and one reconstruct throughput
-// record per family x backend, pairwise speedup ratios, the isal baseline,
-// and per-family jit activation rows: compiler wall time on a cold artifact
-// cache vs dlopen wall time on a warm one (the "second process pays only a
-// load" claim, measured).
+// record per family x backend, the paired lowered-over-interp speedup
+// ratios, and the isal baseline.
 #include "bench_common.hpp"
 #include "bench_json.hpp"
-
-#include "runtime/jit_cache.hpp"
-
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -36,15 +28,9 @@ const std::vector<std::string>& family_specs() {
   return specs;
 }
 
-/// Backends under comparison. jit joins only when a host compiler is
-/// available — without one the arm would silently measure the lowered
-/// fallback and report it as jit.
+/// Backends under comparison.
 const std::vector<std::string>& backend_names() {
-  static const std::vector<std::string> names = [] {
-    std::vector<std::string> n = {"interp", "lowered"};
-    if (runtime::JitCache::available()) n.push_back("jit");
-    return n;
-  }();
+  static const std::vector<std::string> names = {"interp", "lowered"};
   return names;
 }
 
@@ -75,7 +61,7 @@ double median(std::vector<double> v) {
 /// single-data-fragment-erasure reconstruct plan (recoverable in every
 /// family). Sampling is split out so arms can be measured interleaved.
 struct Arm {
-  std::string backend;  // "interp" | "lowered" | "jit" | "baseline"
+  std::string backend;  // "interp" | "lowered" | "baseline"
   std::string label;    // "<family>/<backend>"
   std::shared_ptr<const Codec> codec;
   std::shared_ptr<Cluster> cluster;
@@ -146,54 +132,6 @@ void measure_interleaved(const std::string& family, const std::vector<const Arm*
     }
 }
 
-/// Per-family warm-vs-cold jit activation: against a FRESH artifact cache
-/// dir, building the codec invokes the host compiler (cold row = compiler
-/// wall time); clearing only the in-process memo and rebuilding activates
-/// the same plan by dlopen alone (warm row = load wall time, the cost a
-/// second process pays against a populated cache — the < 5 ms claim).
-/// `cache=private` keeps the shared plan cache from short-circuiting the
-/// rebuild with the already-jitted Executor.
-void measure_jit_activation(const std::string& spec, std::vector<BenchRecord>& records) {
-  using runtime::JitCache;
-  if (!JitCache::available()) return;
-
-  char dir[] = "/tmp/xorec_bench_jit_XXXXXX";
-  if (!mkdtemp(dir)) return;
-  const char* prev = std::getenv("XOREC_JIT_CACHE_DIR");
-  const std::string saved = prev ? prev : "";
-  setenv("XOREC_JIT_CACHE_DIR", dir, 1);
-
-  auto& jc = JitCache::instance();
-  const std::string jit_spec = spec + "@exec=jit,cache=private";
-
-  jc.clear_memory_cache();
-  const auto s0 = runtime::jit_cache_stats();
-  auto cold = codec_for(jit_spec);  // encode plan jit-compiled at construction
-  const auto s1 = runtime::jit_cache_stats();
-
-  jc.clear_memory_cache();
-  const auto s2 = runtime::jit_cache_stats();
-  auto warm = codec_for(jit_spec);  // same fingerprint: dlopen, no compiler
-  const auto s3 = runtime::jit_cache_stats();
-
-  if (prev)
-    setenv("XOREC_JIT_CACHE_DIR", saved.c_str(), 1);
-  else
-    unsetenv("XOREC_JIT_CACHE_DIR");
-
-  if (s1.compiles == s0.compiles) return;  // fell back; nothing to report
-  const double compile_ms = static_cast<double>(s1.compile_ns - s0.compile_ns) / 1e6;
-  const double warm_ms = static_cast<double>(s3.load_ns - s2.load_ns) / 1e6;
-  records.push_back({"exec_backend/jit_compile", spec, "ms", compile_ms});
-  records.push_back({"exec_backend/jit_activation", spec + "/cold", "ms", compile_ms});
-  records.push_back({"exec_backend/jit_activation", spec + "/warm", "ms", warm_ms});
-  records.push_back({"exec_backend/jit_warm_compiles", spec, "count",
-                     static_cast<double>(s3.compiles - s2.compiles)});
-  std::printf("%-12s jit activation: cold %.2f ms (compile)  warm %.3f ms (load)%s\n",
-              spec.c_str(), compile_ms, warm_ms,
-              s3.compiles == s2.compiles ? "" : "  [UNEXPECTED recompile]");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -230,7 +168,6 @@ int main(int argc, char** argv) {
     std::vector<const Arm*> ptrs;
     for (const Arm& a : arms) ptrs.push_back(&a);
     measure_interleaved(spec, ptrs, records);
-    measure_jit_activation(spec, records);
   }
   {
     Arm isal("isal(6,3)", "isal(6,3)", "baseline");
@@ -244,13 +181,12 @@ int main(int argc, char** argv) {
                    {{"families", "rs(6,3) cauchy(6,3) lrc(6,2,2)"},
                     {"baseline", "isal(6,3)"},
                     {"erasure", "fragment 0"},
-                    {"object_bytes", std::to_string(kDataBytes)},
-                    {"jit_available", runtime::JitCache::available() ? "1" : "0"}},
+                    {"object_bytes", std::to_string(kDataBytes)}},
                    records);
   std::printf("wrote %s (%zu records)\n", path.c_str(), records.size());
 
-  // The headline claims, spelled out on the console: lowered >= interp and
-  // jit >= lowered. Speedup records are pushed enc/dec adjacent per pair.
+  // The headline claim, spelled out on the console: lowered >= interp.
+  // Speedup records are pushed enc/dec adjacent per pair.
   for (size_t i = 0; i + 1 < records.size(); ++i)
     if (records[i].name == "exec_backend/encode_speedup")
       std::printf("%-28s encode %.2fx  reconstruct %.2fx\n", records[i].config.c_str(),

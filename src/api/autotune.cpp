@@ -9,7 +9,6 @@
 #include "ec/rs_codec.hpp"
 #include "runtime/exec_program.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/jit_cache.hpp"
 #include "slp/pipeline.hpp"
 
 namespace xorec {
@@ -99,29 +98,16 @@ size_t measure_auto_block() {
 
 runtime::ExecBackend measure_auto_exec() {
   const CalibrationWorkload w;
-  auto time_backend = [&](runtime::ExecBackend b, runtime::ExecBackend& actual) {
+  auto time_backend = [&](runtime::ExecBackend b) {
     runtime::ExecOptions eo;
     eo.backend = b;
-    const runtime::Executor exec(w.prog, eo);
-    actual = exec.backend();  // jit may have degraded to lowered
-    return w.time_executor(exec);
+    return w.time_executor(runtime::Executor(w.prog, eo));
   };
-
-  runtime::ExecBackend actual;
-  runtime::ExecBackend best = runtime::ExecBackend::Lowered;
-  double best_time = time_backend(runtime::ExecBackend::Lowered, actual);
-  // Challengers must beat the incumbent lowered backend by 5%; jit only
-  // counts when the executor really ran the artifact (no silent fallback).
-  if (runtime::JitCache::available()) {
-    const double t = time_backend(runtime::ExecBackend::Jit, actual);
-    if (actual == runtime::ExecBackend::Jit && t < best_time * 0.95) {
-      best_time = t;
-      best = runtime::ExecBackend::Jit;
-    }
-  }
-  const double t = time_backend(runtime::ExecBackend::Interp, actual);
-  if (t < best_time * 0.95) best = runtime::ExecBackend::Interp;
-  return best;
+  // The interpreter must beat the incumbent lowered backend by 5%.
+  const double lowered = time_backend(runtime::ExecBackend::Lowered);
+  const double interp = time_backend(runtime::ExecBackend::Interp);
+  return interp < lowered * 0.95 ? runtime::ExecBackend::Interp
+                                 : runtime::ExecBackend::Lowered;
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 // SLP, time it at each candidate B, keep the winner — and memoizes the
 // result, so every later `make_codec("...@block=auto")` resolves instantly.
 // auto_exec_backend() applies the same treatment to the execution backend
-// choice (interp vs lowered vs jit). examples/block_tuner remains the
+// choice (interp vs lowered). examples/block_tuner remains the
 // verbose, interactive version of the same experiment.
 #pragma once
 
@@ -21,12 +21,10 @@ namespace xorec {
 size_t auto_block_size();
 
 /// This machine's best execution backend, measured once and memoized for
-/// the process: interp vs lowered vs jit timed on the same RS(8,3) encode
-/// workload as auto_block_size(). A challenger must beat lowered by 5% to
-/// displace it (hysteresis keeps the no-compiler-needed default on machines
-/// where the difference is noise), and jit only competes when a host
-/// compiler is available — so the result is always runnable. Never returns
-/// Auto.
+/// the process: interp vs lowered timed on the same RS(8,3) encode workload
+/// as auto_block_size(). Interp must beat lowered by 5% to displace it
+/// (hysteresis keeps the default on machines where the difference is
+/// noise). Never returns Auto.
 runtime::ExecBackend auto_exec_backend();
 
 }  // namespace xorec

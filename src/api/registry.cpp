@@ -119,7 +119,7 @@ void apply_option(CodecSpec& cs, const std::string& key, const std::string& valu
       opt.exec.backend = *b;
       cs.exec_auto = *b == runtime::ExecBackend::Auto;
     } else {
-      fail(cs.spec, "exec must be interp|lowered|jit|auto, got \"" + value + "\"");
+      fail(cs.spec, "exec must be interp|lowered|auto, got \"" + value + "\"");
     }
   } else if (key == "passes") {
     // Preset -> pipeline mapping; rs_codec.cpp rs_name() is its inverse —
@@ -524,12 +524,10 @@ std::string canonical_spec(const CodecSpec& given) {
     opts.push_back("threads=" + std::to_string(o.exec.threads));
   if (o.exec.isa != def.exec.isa)
     opts.push_back(std::string("isa=") + kernel::isa_name(o.exec.isa));
-  if (o.exec.backend != def.exec.backend &&
-      // Auto resolves to Lowered: the two produce identical executors (and
-      // share plan-cache entries), so only the backends that differ from
-      // that resolution — interp and jit — earn a token.
-      (o.exec.backend == runtime::ExecBackend::Interp ||
-       o.exec.backend == runtime::ExecBackend::Jit))
+  // Auto resolves to Lowered: the two produce identical executors (and
+  // share plan-cache entries), so only interp, the backend that differs from
+  // that resolution, earns a token.
+  if (o.exec.backend == runtime::ExecBackend::Interp)
     opts.push_back(std::string("exec=") + runtime::exec_backend_name(o.exec.backend));
   if (!passes_tok.empty()) opts.push_back(passes_tok);
   if (!sched_tok.empty()) opts.push_back(sched_tok);

@@ -15,15 +15,14 @@
 //                    resolves to a one-shot measured sweep of this machine
 //                    (api/autotune.hpp, memoized per process)
 //     threads=N      worker threads                          (default 1)
-//     isa=K          scalar | word64 | avx2 | auto           (default auto)
-//     exec=K         interp | lowered | jit | auto — execution backend
-//                    (default auto). lowered runs pre-resolved kernel calls;
-//                    jit compiles the plan to native code through the host
-//                    compiler + cross-process artifact cache
-//                    (runtime/jit_cache.hpp), falling back to lowered when
-//                    no compiler is available; an explicit exec=auto resolves
-//                    to a one-shot measured interp/lowered/jit race on this
-//                    machine (api/autotune.hpp, memoized per process)
+//     isa=K          scalar | word64 | avx2 | avx512 | neon | auto
+//                    (default auto)
+//     exec=K         interp | lowered | auto — execution backend. With no
+//                    exec= key the backend is lowered (pre-resolved kernel
+//                    calls), chosen without measurement; interp is the
+//                    reference interpreter; an explicit exec=auto resolves
+//                    to a one-shot measured interp-versus-lowered race on
+//                    this machine (api/autotune.hpp, memoized per process)
 //     passes=K       base | compress | fuse | full — optimizer preset
 //     sched=K        none | dfs | greedy | multilevel — scheduling pass
 //     cap=N          abstract-cache capacity override in blocks (>= 2);

@@ -369,7 +369,6 @@ ServiceStats CodecService::stats() const {
     out.warm_misses =
         out.cache.misses > baseline_misses_ ? out.cache.misses - baseline_misses_ : 0;
   }
-  out.jit = runtime::jit_cache_stats();
   return out;
 }
 

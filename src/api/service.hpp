@@ -48,7 +48,6 @@
 
 #include "api/batch.hpp"
 #include "api/codec.hpp"
-#include "runtime/jit_cache.hpp"
 
 namespace xorec::ec {
 class PlanCache;
@@ -125,12 +124,6 @@ struct ServiceStats {
   /// cached was multilevel-scheduled.
   std::vector<size_t> cache_level_misses;
   double uptime_s = 0;
-  /// Process-wide jit artifact-cache counters (runtime/jit_cache.hpp):
-  /// compiles vs warm artifact loads vs lowered fallbacks. A warmed fleet
-  /// member should show compiles == 0 — every exec=jit pool activated by
-  /// dlopen'ing a shared artifact. Zero-valued for services with no jit
-  /// pools.
-  runtime::JitCacheStats jit;
 
   double warm_hit_rate() const {
     const size_t total = warm_hits + warm_misses;

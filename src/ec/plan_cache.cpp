@@ -235,10 +235,10 @@ uint64_t PlanCache::fingerprint_config(const slp::PipelineOptions& pipeline,
   h = fnv_mix(h, exec.stagger_scratch ? 1 : 0);
   h = fnv_mix(h, exec.prefetch_next_block ? 1 : 0);
   // The RESOLVED backend (Auto -> Lowered), so exec=auto and exec=lowered
-  // share entries while interp / lowered / jit executors never collide in
-  // the shared cache (a jit codec's plans carry dlopen'd modules); the
-  // measured exec=auto is resolved earlier, in make_codec, so it arrives
-  // here concrete. nt_threshold changes the lowered/jit instruction stream.
+  // share entries while interp and lowered executors never collide in the
+  // shared cache; the measured exec=auto is resolved earlier, in
+  // make_codec, so it arrives here concrete. nt_threshold changes the
+  // lowered instruction stream.
   const auto backend = exec.backend == runtime::ExecBackend::Auto
                            ? runtime::ExecBackend::Lowered
                            : exec.backend;

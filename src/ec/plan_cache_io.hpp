@@ -3,14 +3,7 @@
 // compiled — NOT the compiled code. Replaying a profile (CodecService::
 // warmup) re-derives and recompiles every program on the current machine
 // and configuration, which keeps the file tiny, human-readable, portable
-// across architectures, and immune to codegen-version drift.
-//
-// The COMPILED-artifact side of persistence lives in runtime/jit_cache.hpp:
-// exec=jit plans replayed from a profile resolve their native .so through
-// the content-addressed on-disk artifact cache, so a warmup() replay on a
-// warmed machine activates plans by dlopen, without invoking the compiler.
-// The two layers compose — profiles name WHAT to warm, the artifact cache
-// makes warming cheap — and stay separate so profiles remain portable.
+// across architectures, and immune to optimizer or executor changes.
 //
 // Text format, one record per line ('#' starts a comment):
 //   xorec-plan-profile v1

@@ -148,23 +148,6 @@ void append_service(const CodecService& service, std::vector<Metric>& out) {
                 "Simulated per-level miss totals of the multilevel-scheduled programs "
                 "currently cached (last level = memory loads).",
                 static_cast<double>(st.cache_level_misses[i]));
-
-  Emit jit{out, "jit"};
-  jit.counter("xorec_jit_compiles_total", {}, "Host-compiler invocations (cold artifacts built).",
-              static_cast<double>(st.jit.compiles));
-  jit.counter("xorec_jit_artifact_loads_total", {},
-              "On-disk artifacts dlopened warm (no compiler).",
-              static_cast<double>(st.jit.artifact_loads));
-  jit.counter("xorec_jit_memory_hits_total", {}, "In-process memo hits (already dlopened).",
-              static_cast<double>(st.jit.memory_hits));
-  jit.counter("xorec_jit_fallbacks_total", {}, "exec=jit requests degraded to exec=lowered.",
-              static_cast<double>(st.jit.fallbacks));
-  jit.counter("xorec_jit_rejected_total", {}, "Corrupt/unloadable artifacts discarded.",
-              static_cast<double>(st.jit.rejected));
-  jit.counter("xorec_jit_compile_seconds_total", {}, "Wall time inside the host compiler.",
-              static_cast<double>(st.jit.compile_ns) / 1e9);
-  jit.counter("xorec_jit_load_seconds_total", {}, "Wall time in dlopen/dlsym of artifacts.",
-              static_cast<double>(st.jit.load_ns) / 1e9);
 }
 
 void append_net(const net::NetServer& server, std::vector<Metric>& out) {

@@ -7,7 +7,7 @@
 // full wiring):
 //
 //   obs::MetricsRegistry registry;          // what to measure
-//   registry.attach(service);               // ServiceStats + plan cache + jit
+//   registry.attach(service);               // ServiceStats + plan cache
 //   registry.attach(net_server);            // NetServerStats
 //
 //   obs::Sampler sampler(registry);         // time series (obs/sampler.hpp)
@@ -46,8 +46,8 @@ enum class MetricKind { Counter, Gauge };
 
 /// One flattened sample: a fully-qualified Prometheus-style name
 /// (counters end in `_total`), an optional label set, and a value.
-/// `group` tags the owning subsystem ("shard", "pool", "plan_cache", "jit",
-/// "net", "window") — the record family of the /stats.json document.
+/// `group` tags the owning subsystem ("shard", "pool", "plan_cache", "net",
+/// "window") — the record family of the /stats.json document.
 struct Metric {
   std::string name;
   std::vector<std::pair<std::string, std::string>> labels;
@@ -79,8 +79,7 @@ class MetricsRegistry {
 
   /// ServiceStats: shards (workers/jobs/depth/bytes/throughput/pools),
   /// pools (ops, repair traffic, net traffic, exec info), the plan-cache
-  /// view incl. per-level multilevel miss totals and the warm window, and
-  /// the process-wide jit artifact-cache counters.
+  /// view incl. per-level multilevel miss totals and the warm window.
   void attach(const CodecService& service);
   /// NetServerStats: connections, requests/responses/errors, backpressure,
   /// byte counters, writev gather counters, UDP group outcomes.

@@ -1,24 +1,22 @@
 #include "runtime/codegen_c.hpp"
 
-#include <algorithm>
 #include <set>
 #include <sstream>
-#include <vector>
 
 namespace xorec::runtime {
 
 namespace {
 
-std::string operand_expr(const Operand& s, bool block_relative) {
+/// A strip operand is offset to the current block; a scratch pebble is the
+/// block-sized buffer itself.
+std::string operand_expr(const Operand& s) {
   std::ostringstream os;
   switch (s.space) {
     case Space::In:
-      os << "in[" << s.index << "]";
-      if (block_relative) os << " + off";
+      os << "in[" << s.index << "] + off";
       break;
     case Space::Out:
-      os << "out[" << s.index << "]";
-      if (block_relative) os << " + off";
+      os << "out[" << s.index << "] + off";
       break;
     case Space::Scratch:
       os << "scratch" << s.index;
@@ -27,23 +25,9 @@ std::string operand_expr(const Operand& s, bool block_relative) {
   return os.str();
 }
 
-bool same_operand(const Operand& a, const Operand& b) {
-  return a.space == b.space && a.index == b.index;
-}
-
-/// The byte-granular XOR expression `s0[i] ^ s1[i] ^ ...` for arity k.
-std::string byte_xor_expr(size_t k) {
-  std::ostringstream os;
-  for (size_t j = 0; j < k; ++j) {
-    if (j) os << " ^ ";
-    os << "s" << j << "[i]";
-  }
-  return os.str();
-}
-
 /// Emit the XOR helper for one arity: an explicitly vectorized body (AVX-512
-/// / AVX2, matching whatever -m flags the jit cache compiled this TU with)
-/// over a word-64 + byte tail. Explicit intrinsics rather than
+/// / AVX2, matching whatever -m flags the TU is compiled with) over a
+/// word-64 + byte tail. Explicit intrinsics rather than
 /// auto-vectorization keep the generated plans competitive with the
 /// hand-written AOT kernels at -O2. No `restrict`: accumulate ops may pass
 /// dst as one of the sources (exact aliasing, which per-chunk
@@ -88,82 +72,12 @@ void emit_xor_helper(std::ostringstream& os, size_t k) {
   os << "}\n\n";
 }
 
-/// Emit the streaming-store variant for one arity: AVX2 non-temporal stores
-/// when the translation unit is compiled with -mavx2 (the jit cache passes
-/// ISA-matched flags), else a call into the plain helper. Mirrors the
-/// alignment discipline of the lowered backend's xor_many_nt kernels: scalar
-/// head until dst is 32-byte aligned, streamed body, sfence, byte tail.
-void emit_xor_nt_helper(std::ostringstream& os, size_t k) {
-  os << "static void xor" << k << "_nt(uint8_t* dst";
-  for (size_t j = 0; j < k; ++j) os << ", const uint8_t* s" << j;
-  os << ", size_t len) {\n";
-  os << "#if defined(__AVX2__)\n";
-  os << "  size_t i = 0;\n";
-  os << "  while (i < len && (((uintptr_t)(dst + i)) & 31u)) {\n";
-  os << "    dst[i] = " << byte_xor_expr(k) << ";\n";
-  os << "    ++i;\n";
-  os << "  }\n";
-  os << "  for (; i + 32 <= len; i += 32) {\n";
-  os << "    __m256i acc = _mm256_loadu_si256((const __m256i*)(s0 + i));\n";
-  for (size_t j = 1; j < k; ++j) {
-    os << "    acc = _mm256_xor_si256(acc, _mm256_loadu_si256((const __m256i*)(s" << j
-       << " + i)));\n";
-  }
-  os << "    _mm256_stream_si256((__m256i*)(dst + i), acc);\n";
-  os << "  }\n";
-  os << "  _mm_sfence();\n";
-  os << "  for (; i < len; ++i) dst[i] = " << byte_xor_expr(k) << ";\n";
-  os << "#else\n";
-  os << "  xor" << k << "(dst";
-  for (size_t j = 0; j < k; ++j) os << ", s" << j;
-  os << ", len);\n";
-  os << "#endif\n";
-  os << "}\n\n";
-}
-
-/// Dead-store scan, same rule as LoweredProgram: an Out destination no later
-/// instruction reads, with no self-reference, is write-only for the rest of
-/// the block and may stream past the cache.
-std::vector<bool> dead_store_ops(const ExecProgram& prog) {
-  std::vector<bool> dead(prog.ops.size(), false);
-  for (size_t i = 0; i < prog.ops.size(); ++i) {
-    const ExecOp& op = prog.ops[i];
-    if (op.dst.space != Space::Out) continue;
-    bool self_ref = false;
-    for (const Operand& s : op.srcs) self_ref = self_ref || same_operand(s, op.dst);
-    if (self_ref) continue;
-    bool is_dead = true;
-    for (size_t j = i + 1; j < prog.ops.size() && is_dead; ++j)
-      for (const Operand& s : prog.ops[j].srcs)
-        if (same_operand(s, op.dst)) {
-          is_dead = false;
-          break;
-        }
-    dead[i] = is_dead;
-  }
-  return dead;
-}
-
 }  // namespace
 
 std::string generate_c(const ExecProgram& prog, const CodegenOptions& opt) {
-  const bool baked = opt.block_size != 0;
-  const size_t block = baked ? opt.block_size : opt.max_block_size;
-  const bool nt = baked && opt.nt_threshold != 0 && opt.block_size >= opt.nt_threshold;
-  const bool arena_scratch = baked && codegen_arena_bytes(prog.num_scratch, block) != 0;
-
-  // Which ops stream (NT emission): the dead-store outputs, only when the
-  // baked block is at least the NT threshold.
-  std::vector<bool> streams(prog.ops.size(), false);
-  if (nt) streams = dead_store_ops(prog);
-
   std::ostringstream os;
   os << "/* Generated by xorslp_ec (runtime/codegen_c v" << kCodegenVersion
      << "). Do not edit. */\n";
-  if (baked) {
-    os << "/* baked: block_size=" << block << " nt_threshold=" << opt.nt_threshold
-       << " scratch=" << (arena_scratch ? "arena" : "stack") << " */\n";
-  }
   os << "#include <stddef.h>\n#include <stdint.h>\n#include <string.h>\n";
   // __AVX512F__ implies __AVX2__ under both gcc and clang, so one guard
   // covers every vectorized helper body.
@@ -171,72 +85,28 @@ std::string generate_c(const ExecProgram& prog, const CodegenOptions& opt) {
   os << "\n";
 
   // One n-ary XOR helper per arity used keeps the inner loops monomorphic
-  // so the host compiler can vectorize each independently. Streaming ops
-  // additionally get an NT variant (which falls back to the plain helper on
-  // non-AVX2 builds, so the plain form is always emitted).
-  std::set<size_t> arities, nt_arities;
-  for (size_t i = 0; i < prog.ops.size(); ++i) {
-    arities.insert(prog.ops[i].srcs.size());
-    if (streams[i]) nt_arities.insert(prog.ops[i].srcs.size());
-  }
+  // so the host compiler can vectorize each independently.
+  std::set<size_t> arities;
+  for (const ExecOp& op : prog.ops) arities.insert(op.srcs.size());
   for (size_t k : arities) emit_xor_helper(os, k);
-  for (size_t k : nt_arities) emit_xor_nt_helper(os, k);
 
   os << "void " << opt.function_name
      << "(const uint8_t* const* in, uint8_t* const* out, size_t strip_len, "
-        "size_t block_size"
-     << (baked ? ", uint8_t* scratch_arena" : "") << ") {\n";
-  if (baked) {
-    // The block size is a compile-time constant; the parameter survives only
-    // for signature compatibility with the AOT form.
-    os << "  (void)block_size;\n";
-    if (!arena_scratch) os << "  (void)scratch_arena;\n";
-  } else {
-    os << "  if (block_size == 0 || block_size > " << opt.max_block_size
-       << ") block_size = " << opt.max_block_size << ";\n";
+        "size_t block_size) {\n";
+  os << "  if (block_size == 0 || block_size > " << opt.max_block_size
+     << ") block_size = " << opt.max_block_size << ";\n";
+  for (uint32_t s = 0; s < prog.num_scratch; ++s) {
+    os << "  uint8_t scratch" << s << "[" << opt.max_block_size << "];\n";
   }
-  if (arena_scratch) {
-    // Scratch lives in the caller-owned arena (codegen_arena_bytes): the
-    // generated code performs no allocation, so there is no failure path for
-    // it to swallow silently.
-    for (uint32_t s = 0; s < prog.num_scratch; ++s) {
-      os << "  uint8_t* const scratch" << s << " = scratch_arena + "
-         << static_cast<size_t>(s) * block << ";\n";
-    }
-  } else {
-    for (uint32_t s = 0; s < prog.num_scratch; ++s) {
-      os << "  uint8_t scratch" << s << "[" << block << "];\n";
-    }
+  os << "  for (size_t off = 0; off < strip_len; off += block_size) {\n";
+  os << "    const size_t len = (strip_len - off < block_size) ? strip_len - off "
+        ": block_size;\n";
+  for (const ExecOp& op : prog.ops) {
+    os << "    xor" << op.srcs.size() << "(" << operand_expr(op.dst);
+    for (const Operand& s : op.srcs) os << ", " << operand_expr(s);
+    os << ", len);\n";
   }
-  const auto emit_ops = [&](const char* len_expr) {
-    for (size_t i = 0; i < prog.ops.size(); ++i) {
-      const ExecOp& op = prog.ops[i];
-      os << "    xor" << op.srcs.size() << (streams[i] ? "_nt" : "") << "("
-         << operand_expr(op.dst, true);
-      for (const Operand& s : op.srcs) os << ", " << operand_expr(s, true);
-      os << ", " << len_expr << ");\n";
-    }
-  };
-  if (baked) {
-    // Full blocks run with the block size as a literal length, so the host
-    // compiler sees constant trip counts in every helper; only the final
-    // partial block (if any) takes a variable length.
-    const std::string block_lit = std::to_string(block);
-    os << "  size_t off = 0;\n";
-    os << "  for (; off + " << block << " <= strip_len; off += " << block << ") {\n";
-    emit_ops(block_lit.c_str());
-    os << "  }\n";
-    os << "  if (off < strip_len) {\n";
-    os << "    const size_t len = strip_len - off;\n";
-    emit_ops("len");
-    os << "  }\n";
-  } else {
-    os << "  for (size_t off = 0; off < strip_len; off += block_size) {\n";
-    os << "    const size_t len = (strip_len - off < block_size) ? strip_len - off "
-          ": block_size;\n";
-    emit_ops("len");
-    os << "  }\n";
-  }
+  os << "  }\n";
   os << "}\n";
   return os.str();
 }

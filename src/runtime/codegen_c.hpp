@@ -12,27 +12,13 @@
 //             uint8_t* const* out,        // num_outputs strips
 //             size_t strip_len,           // bytes per strip
 //             size_t block_size);         // §6.1 blocking parameter
-// Baked mode appends a fifth parameter:
-//             uint8_t* scratch_arena      // codegen_arena_bytes() bytes of
-//                                         // caller-owned scratch (ignored —
-//                                         // may be NULL — when 0)
 //
-// The emitted code is plain C99 (byte loops with a word-64 fast path); it
-// relies on the compiler's vectorizer rather than intrinsics so it builds
-// anywhere.
-//
-// Two emission modes:
-//   default (block_size == 0) — the historical AOT form: block_size is a
-//     runtime parameter clamped to max_block_size, scratch is stack storage.
-//   baked (block_size != 0) — the exec=jit form (runtime/jit_cache.hpp):
-//     the block size is a compile-time constant, the runtime parameter is
-//     ignored, scratch falls back to the caller-provided arena when the
-//     stack footprint would be unreasonable (the generated code never
-//     allocates, so it has no failure path to swallow — the caller's
-//     allocation fails loudly), and — when block_size >= nt_threshold — output
-//     strips no later instruction reads are written through non-temporal
-//     streaming stores (AVX2 intrinsics under __AVX2__, plain code
-//     elsewhere), mirroring the lowered backend's dead-store rule.
+// block_size is clamped to max_block_size, and scratch pebbles are stack
+// buffers. The emitted code is C99: one XOR helper per arity, with an
+// AVX-512 or AVX2 intrinsic body selected by the preprocessor (__AVX512F__ /
+// __AVX2__, i.e. the -m flags the translation unit is compiled with) over a
+// word-64 loop and a byte tail, so it builds anywhere and vectorizes where
+// the target allows.
 #pragma once
 
 #include <cstddef>
@@ -42,37 +28,16 @@
 
 namespace xorec::runtime {
 
-/// Bumped whenever the emission changes shape. The version is stamped into
-/// the generated banner, so on-disk jit artifacts (content-addressed over
-/// the source text) can never be served across a codegen change.
+/// Bumped whenever the emission changes shape; stamped into the generated
+/// banner so a checked-in generated file names the emitter that wrote it.
 inline constexpr int kCodegenVersion = 4;
 
 struct CodegenOptions {
   std::string function_name = "xorec_coded_run";
   /// Scratch pebbles are stack buffers of this many bytes; must be >= the
   /// block_size passed at runtime. 4096 covers every paper configuration.
-  /// Ignored in baked mode (scratch is sized by the baked block).
   size_t max_block_size = 4096;
-  /// Nonzero: bake this block size as a compile-time constant (the jit
-  /// path); the function's block_size parameter is accepted and ignored.
-  size_t block_size = 0;
-  /// Baked mode only: with block_size >= nt_threshold, dead-store output
-  /// instructions use streaming stores. 0 disables.
-  size_t nt_threshold = 0;
 };
-
-/// Baked-mode scratch above this total lives in the caller-provided arena
-/// instead of the stack (large NT-class blocks would otherwise overflow it).
-inline constexpr size_t kCodegenStackScratchMax = 256 * 1024;
-
-/// Bytes of caller-owned scratch arena the BAKED form of a program requires
-/// through its fifth parameter (single source of truth for the stack/arena
-/// split — the Executor sizes its per-worker arenas with this). 0 means the
-/// scratch fits the generated function's stack and the parameter is ignored.
-inline constexpr size_t codegen_arena_bytes(uint32_t num_scratch, size_t block_size) {
-  const size_t total = static_cast<size_t>(num_scratch) * block_size;
-  return total > kCodegenStackScratchMax ? total : 0;
-}
 
 /// Emit the C source for one execution program.
 std::string generate_c(const ExecProgram& prog, const CodegenOptions& opt = {});

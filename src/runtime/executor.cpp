@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string_view>
 
-#include "runtime/codegen_c.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace xorec::runtime {
@@ -35,7 +34,6 @@ const char* exec_backend_name(ExecBackend b) {
     case ExecBackend::Interp: return "interp";
     case ExecBackend::Lowered: return "lowered";
     case ExecBackend::Auto: return "auto";
-    case ExecBackend::Jit: return "jit";
   }
   return "?";
 }
@@ -46,7 +44,6 @@ std::optional<ExecBackend> parse_exec_backend(const char* name) {
   if (v == "interp") return ExecBackend::Interp;
   if (v == "lowered") return ExecBackend::Lowered;
   if (v == "auto") return ExecBackend::Auto;
-  if (v == "jit") return ExecBackend::Jit;
   return std::nullopt;
 }
 
@@ -80,39 +77,20 @@ Executor::Executor(ExecProgram program, ExecOptions opt)
   if (auto f = forced_exec_backend()) backend_ = *f;
   if (backend_ == ExecBackend::Auto) backend_ = ExecBackend::Lowered;
 
-  if (backend_ == ExecBackend::Jit && !prog_.ops.empty()) {
-    // Print the program with every decision baked (block size, NT stores)
-    // and fetch the native artifact through the cross-process cache: memo
-    // hit, warm dlopen, or one compile for the whole fleet.
-    CodegenOptions co;
-    co.function_name = "xorec_jit_run";
-    co.block_size = opt_.block_size;
-    co.nt_threshold = opt_.nt_threshold;
-    jit_ = JitCache::instance().get_or_compile(generate_c(prog_, co), isa_,
-                                               co.function_name);
-    if (jit_) {
-      jit_fn_ = jit_->fn();
-    } else {
-      // No compiler, disabled, or the compile failed: degrade to lowered.
-      JitCache::instance().note_fallback();
-      backend_ = ExecBackend::Lowered;
-    }
-  }
   if (backend_ == ExecBackend::Lowered)
     lowered_ = std::make_unique<const LoweredProgram>(prog_, kt, opt_.block_size,
                                                       opt_.nt_threshold);
 
-  const bool jit_active = backend_ == ExecBackend::Jit;
   if (opt_.threads > 1) {
     worker_scratch_.reserve(opt_.threads);
     for (size_t w = 0; w < opt_.threads; ++w)
       worker_scratch_.push_back(
-          std::make_unique<Scratch>(prog_, opt_, lowered_.get(), jit_active));
+          std::make_unique<Scratch>(prog_, opt_, lowered_.get()));
   } else {
     // Pre-warm one freelist entry so the common single-caller case never
     // allocates inside run().
     free_scratch_.push_back(
-        std::make_unique<Scratch>(prog_, opt_, lowered_.get(), jit_active));
+        std::make_unique<Scratch>(prog_, opt_, lowered_.get()));
     scratch_allocated_ = 1;
   }
 }
@@ -129,8 +107,7 @@ std::unique_ptr<Executor::Scratch> Executor::acquire_scratch() const {
     }
     ++scratch_allocated_;
   }
-  return std::make_unique<Scratch>(prog_, opt_, lowered_.get(),
-                                   backend_ == ExecBackend::Jit);
+  return std::make_unique<Scratch>(prog_, opt_, lowered_.get());
 }
 
 void Executor::release_scratch(std::unique_ptr<Scratch> s) const {
@@ -151,18 +128,6 @@ ScratchStats Executor::scratch_stats() const {
 
 void Executor::run_range(const uint8_t* const* inputs, uint8_t* const* outputs, size_t begin,
                          size_t end, Scratch& scratch) const {
-  if (jit_fn_) {
-    // One flat native call for the whole range: the artifact bakes the block
-    // loop, scratch and NT decisions, so only the strip bases shift.
-    // (prefetch_next_block has no hook here — the compiled loop body is
-    // opaque to us.)
-    for (uint32_t i = 0; i < prog_.num_inputs; ++i) scratch.jit_in[i] = inputs[i] + begin;
-    for (uint32_t i = 0; i < prog_.num_outputs; ++i)
-      scratch.jit_out[i] = outputs[i] + begin;
-    jit_fn_(scratch.jit_in.data(), scratch.jit_out.data(), end - begin, opt_.block_size,
-            scratch.jit_arena.data());
-    return;
-  }
   if (lowered_) {
     lowered_->run_range(*scratch.lowered_state, inputs, outputs, scratch.ptrs.data(), begin,
                         end, opt_.block_size, opt_.prefetch_next_block);

@@ -6,12 +6,7 @@
 //                   per block through the variadic xor_many kernel;
 //   exec=lowered  — run the straight-line LoweredProgram of pre-resolved
 //                   fixed-arity/accumulate kernel calls (lowered once, in
-//                   this constructor; see runtime/lowered_program.hpp);
-//   exec=jit      — call one flat native function compiled at construction
-//                   from the program's generated C source through the host
-//                   compiler and the cross-process artifact cache
-//                   (runtime/jit_cache.hpp); falls back to lowered when no
-//                   compiler is available.
+//                   this constructor; see runtime/lowered_program.hpp).
 #pragma once
 
 #include <cstddef>
@@ -22,22 +17,20 @@
 
 #include "kernel/xor_kernel.hpp"
 #include "runtime/aligned_buffer.hpp"
-#include "runtime/codegen_c.hpp"
 #include "runtime/exec_program.hpp"
-#include "runtime/jit_cache.hpp"
 #include "runtime/lowered_program.hpp"
 
 namespace xorec::runtime {
 
 /// Execution backend (spec key exec=). Plain Auto resolves to Lowered at
-/// Executor level (the measured three-way autotune lives in api/autotune);
-/// the interpreter survives as the reference semantics and for differential
-/// testing. Jit is appended after Auto so the pre-existing numeric values —
-/// baked into plan-cache fingerprints — are unchanged.
-enum class ExecBackend : uint8_t { Interp, Lowered, Auto, Jit };
+/// Executor level (the measured interp-versus-lowered race lives in
+/// api/autotune); the interpreter survives as the reference semantics and
+/// for differential testing. The numeric values are baked into plan-cache
+/// fingerprints, so they never change.
+enum class ExecBackend : uint8_t { Interp = 0, Lowered = 1, Auto = 2 };
 
 const char* exec_backend_name(ExecBackend b);
-/// "interp"/"lowered"/"auto"/"jit" -> backend; nullopt for anything else.
+/// "interp"/"lowered"/"auto" -> backend; nullopt for anything else.
 std::optional<ExecBackend> parse_exec_backend(const char* name);
 
 /// The XOREC_FORCE_EXEC override (mirror of kernel::forced_isa): when set to
@@ -93,9 +86,6 @@ class Executor {
   /// The lowered form, when backend() == Lowered (instruction-mix
   /// introspection for tests/benches).
   const LoweredProgram* lowered() const { return lowered_.get(); }
-  /// The loaded jit artifact, when backend() == Jit (fingerprint/path
-  /// introspection for tests/benches). Null for empty programs.
-  const JitModule* jit_module() const { return jit_.get(); }
 
   ScratchStats scratch_stats() const;
 
@@ -111,25 +101,10 @@ class Executor {
     StripArena arena;
     std::vector<uint8_t*> ptrs;
     std::unique_ptr<LoweredProgram::State> lowered_state;
-    // Jit path: per-worker shifted strip-pointer tables, plus the baked
-    // form's caller-owned scratch arena when the pebbles outgrow the
-    // generated function's stack (codegen_arena_bytes; empty otherwise).
-    // Allocating here, not inside the generated code, means an allocation
-    // failure throws like any other — it can never be swallowed mid-encode.
-    std::vector<const uint8_t*> jit_in;
-    std::vector<uint8_t*> jit_out;
-    std::vector<uint8_t> jit_arena;
-    Scratch(const ExecProgram& prog, const ExecOptions& opt, const LoweredProgram* lp,
-            bool jit)
-        : arena(jit ? 0 : prog.num_scratch, opt.block_size, opt.block_size,
-                opt.stagger_scratch),
+    Scratch(const ExecProgram& prog, const ExecOptions& opt, const LoweredProgram* lp)
+        : arena(prog.num_scratch, opt.block_size, opt.block_size, opt.stagger_scratch),
           ptrs(arena.pointers()) {
       if (lp) lowered_state = std::make_unique<LoweredProgram::State>(*lp);
-      if (jit) {
-        jit_in.resize(prog.num_inputs);
-        jit_out.resize(prog.num_outputs);
-        jit_arena.resize(codegen_arena_bytes(prog.num_scratch, opt.block_size));
-      }
     }
   };
 
@@ -144,8 +119,6 @@ class Executor {
   ExecBackend backend_ = ExecBackend::Interp;
   kernel::Isa isa_ = kernel::Isa::Scalar;
   std::unique_ptr<const LoweredProgram> lowered_;
-  std::shared_ptr<const JitModule> jit_;  // shared: cache eviction never unloads us
-  JitFn jit_fn_ = nullptr;
   std::vector<std::unique_ptr<Scratch>> worker_scratch_;  // threads > 1 path
   mutable std::mutex scratch_mu_;  // guards the freelist + counters below
   mutable std::vector<std::unique_ptr<Scratch>> free_scratch_;

@@ -14,7 +14,6 @@
 
 #include "conformance/codec_conformance.hpp"
 #include "ec/plan_cache.hpp"
-#include "runtime/jit_cache.hpp"
 
 using namespace xorec;
 using namespace xorec::conformance;
@@ -67,84 +66,6 @@ TEST(conformance, AllErasurePatternsRoundTripEveryFamily) {
       check_all_patterns(*codec, shape.guaranteed, seed++);
     }
   }
-}
-
-// The jit execution backend, registry-wide: for every family shape, the
-// runtime-compiled native plans (exec=jit) must be byte-identical to the
-// interpreter (exec=interp) on encode and on every C(k+m, <= m) erasure
-// pattern — same recover/reject verdicts included. Families whose specs do
-// not take exec= (the byte-GF isal baseline) are skipped in place; without a
-// host compiler the whole suite SKIPs, because exec=jit would silently
-// degrade to lowered and the test would no longer exercise generated code.
-TEST(conformance, JitBackendByteIdenticalToInterpEveryFamily) {
-  if (!runtime::JitCache::available())
-    GTEST_SKIP() << "no host C compiler: exec=jit degrades to lowered here";
-  const auto& table = conformance_table();
-  uint32_t seed = 0x1A57;
-  size_t swept = 0;
-  for (const std::string& family : registered_families()) {
-    if (test_fixture_family(family)) continue;
-    ASSERT_TRUE(table.count(family)) << family;
-    for (const ShapeCase& shape : table.at(family).shapes) {
-      SCOPED_TRACE(shape.spec);
-      std::unique_ptr<Codec> jit, interp;
-      try {
-        jit = make_codec(shape.spec + "@exec=jit");
-        interp = make_codec(shape.spec + "@exec=interp");
-      } catch (const std::invalid_argument&) {
-        continue;  // family does not take exec= (byte-GF codecs)
-      }
-      ++swept;
-      ++seed;
-      const Stripe js = encoded_stripe(*jit, seed);
-      const Stripe is = encoded_stripe(*interp, seed);
-      ASSERT_EQ(js.frag_len, is.frag_len);
-      for (size_t f = 0; f < jit->total_fragments(); ++f)
-        ASSERT_EQ(js.frags[f], is.frags[f]) << "encode mismatch, fragment " << f;
-
-      // Every jit reconstruct plan is a fresh compiler invocation (~0.3 s),
-      // so the pattern set is stride-sampled to a fixed budget per shape.
-      // The combination enumeration interleaves sizes, so the stride still
-      // visits every erasure count 1..m; the full un-sampled matrix runs
-      // under exec=interp/lowered in AllErasurePatternsRoundTripEveryFamily.
-      const auto patterns =
-          erasure_patterns(jit->total_fragments(), jit->parity_fragments());
-      constexpr size_t kPatternBudget = 8;
-      const size_t stride =
-          std::max<size_t>(1, (patterns.size() + kPatternBudget - 1) / kPatternBudget);
-      for (size_t pi = 0; pi < patterns.size(); pi += stride) {
-        const auto& erased = patterns[pi];
-        SCOPED_TRACE(::testing::Message()
-                     << "erased n=" << erased.size() << " first=" << erased.front());
-        const auto available = all_but(*jit, erased);
-        std::vector<const uint8_t*> in_ptrs;
-        for (uint32_t id : available) in_ptrs.push_back(is.frags[id].data());
-
-        std::shared_ptr<const ReconstructPlan> ip, jp;
-        try {
-          ip = interp->plan_reconstruct(available, erased);
-        } catch (const std::invalid_argument&) {
-          EXPECT_THROW(jit->plan_reconstruct(available, erased), std::invalid_argument);
-          continue;
-        }
-        ASSERT_NO_THROW(jp = jit->plan_reconstruct(available, erased));
-
-        std::vector<std::vector<uint8_t>> i_out(erased.size()), j_out(erased.size());
-        std::vector<uint8_t*> ip_ptrs, jp_ptrs;
-        for (size_t e = 0; e < erased.size(); ++e) {
-          i_out[e].assign(is.frag_len, 0xCD);
-          j_out[e].assign(is.frag_len, 0xEE);  // distinct poison per backend
-          ip_ptrs.push_back(i_out[e].data());
-          jp_ptrs.push_back(j_out[e].data());
-        }
-        ip->execute(in_ptrs.data(), ip_ptrs.data(), is.frag_len);
-        jp->execute(in_ptrs.data(), jp_ptrs.data(), is.frag_len);
-        for (size_t e = 0; e < erased.size(); ++e)
-          ASSERT_EQ(j_out[e], i_out[e]) << "reconstruct mismatch, fragment " << erased[e];
-      }
-    }
-  }
-  EXPECT_GE(swept, 8u) << "jit sweep covered suspiciously few families";
 }
 
 // MDS families guarantee tolerance == parity count; the harness data must

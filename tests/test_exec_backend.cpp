@@ -6,26 +6,23 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <random>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/codec.hpp"
 #include "api/registry.hpp"
+#include "api/service.hpp"
 #include "conformance/codec_conformance.hpp"
 #include "ec/plan_cache.hpp"
 #include "ec/rs_codec.hpp"
 #include "kernel/xor_kernel.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/jit_cache.hpp"
 
 namespace xorec {
 namespace {
@@ -55,12 +52,8 @@ Stripe encoded_stripe(const Codec& c, size_t frag_len, uint32_t seed) {
 
 /// Encode + every C(n, <= m) reconstruct of `spec` must be byte-identical
 /// to `ref` (the scalar interpreter codec over the same family/geometry).
-/// `pattern_cap` > 0 stride-samples the pattern set down to roughly that
-/// many entries — used for the exec=jit rows, where every reconstruct plan
-/// is a fresh host-compiler invocation; the stride still visits every
-/// erasure size because the combination enumeration interleaves them.
 void expect_identical(const std::string& spec, const Codec& ref, const Stripe& ref_stripe,
-                      size_t max_erased, uint32_t seed, size_t pattern_cap = 0) {
+                      size_t max_erased, uint32_t seed) {
   SCOPED_TRACE(spec);
   const auto codec = make_codec(spec);
   ASSERT_EQ(codec->total_fragments(), ref.total_fragments());
@@ -69,14 +62,8 @@ void expect_identical(const std::string& spec, const Codec& ref, const Stripe& r
   for (size_t f = 0; f < ref.total_fragments(); ++f)
     ASSERT_EQ(st.frags[f], ref_stripe.frags[f]) << "encode mismatch, fragment " << f;
 
-  auto patterns = conformance::erasure_patterns(codec->total_fragments(), max_erased);
-  if (pattern_cap > 0 && patterns.size() > pattern_cap) {
-    const size_t stride = (patterns.size() + pattern_cap - 1) / pattern_cap;
-    std::vector<std::vector<uint32_t>> sampled;
-    for (size_t i = 0; i < patterns.size(); i += stride) sampled.push_back(patterns[i]);
-    patterns = std::move(sampled);
-  }
-  for (const auto& erased : patterns) {
+  for (const auto& erased :
+       conformance::erasure_patterns(codec->total_fragments(), max_erased)) {
     SCOPED_TRACE(::testing::Message() << "erased n=" << erased.size()
                                       << " first=" << erased.front());
     const auto available = conformance::all_but(*codec, erased);
@@ -119,24 +106,19 @@ TEST(ExecBackendDifferential, RsFullSweepOddStrips) {
   const auto ref = make_codec("rs(6,3)@isa=scalar,exec=interp");
   const size_t frag_len = ref->fragment_multiple() * kOddStrip;
   const Stripe st = encoded_stripe(*ref, frag_len, /*seed=*/1);
-  // exec=jit rides along unconditionally: without a host compiler it
-  // degrades to lowered, which this sweep covers anyway. Its pattern set is
-  // capped (each jit plan is a compiler invocation).
   for (const char* isa : {"scalar", "word64", "avx2", "avx512", "neon", "auto"})
-    for (const char* exec : {"interp", "lowered", "jit"})
+    for (const char* exec : {"interp", "lowered"})
       expect_identical("rs(6,3)@isa=" + std::string(isa) + ",exec=" + exec, *ref, st,
-                       ref->parity_fragments(), /*seed=*/1,
-                       std::strcmp(exec, "jit") == 0 ? 12 : 0);
+                       ref->parity_fragments(), /*seed=*/1);
 }
 
 TEST(ExecBackendDifferential, RsShortFinalBlock) {
   const auto ref = make_codec("rs(6,3)@isa=scalar,exec=interp,block=384");
   const size_t frag_len = ref->fragment_multiple() * kLongStrip;
   const Stripe st = encoded_stripe(*ref, frag_len, /*seed=*/2);
-  for (const char* exec : {"interp", "lowered", "jit"})
+  for (const char* exec : {"interp", "lowered"})
     expect_identical("rs(6,3)@block=384,exec=" + std::string(exec), *ref, st,
-                     ref->parity_fragments(), /*seed=*/2,
-                     std::strcmp(exec, "jit") == 0 ? 12 : 0);
+                     ref->parity_fragments(), /*seed=*/2);
 }
 
 TEST(ExecBackendDifferential, OtherFamiliesBestIsaBothBackends) {
@@ -149,9 +131,8 @@ TEST(ExecBackendDifferential, OtherFamiliesBestIsaBothBackends) {
     const auto ref = make_codec(base + "@isa=scalar,exec=interp");
     const size_t frag_len = ref->fragment_multiple() * kOddStrip;
     const Stripe st = encoded_stripe(*ref, frag_len, /*seed=*/3);
-    for (const char* exec : {"interp", "lowered", "jit"})
-      expect_identical(base + "@exec=" + exec, *ref, st, fam.max_erased, /*seed=*/3,
-                       std::strcmp(exec, "jit") == 0 ? 12 : 0);
+    for (const char* exec : {"interp", "lowered"})
+      expect_identical(base + "@exec=" + exec, *ref, st, fam.max_erased, /*seed=*/3);
   }
 }
 
@@ -187,21 +168,16 @@ TEST(ExecBackendDifferential, NtStoresByteIdentical) {
 }
 
 TEST(ExecBackendGrammar, SpecKeysRoundTrip) {
-  // Canonical form keeps the backend tokens that differ from the default:
-  // exec=interp and exec=jit survive, exec=lowered is the default and drops,
-  // and exec=auto resolves BY MEASUREMENT to one concrete backend.
+  // Canonical form keeps the backend token that differs from the default:
+  // exec=interp survives, exec=lowered is the default and drops, and
+  // exec=auto resolves BY MEASUREMENT to one concrete backend.
   EXPECT_EQ(canonical_spec("rs(6,3)@exec=interp"), "rs(6,3)@exec=interp");
   EXPECT_EQ(canonical_spec("rs(6,3)@exec=lowered"), "rs(6,3)");
-  EXPECT_EQ(canonical_spec("rs(6,3)@exec=jit"), "rs(6,3)@exec=jit");
   const std::string resolved = canonical_spec("rs(6,3)@exec=auto");
-  EXPECT_TRUE(resolved == "rs(6,3)" || resolved == "rs(6,3)@exec=interp" ||
-              resolved == "rs(6,3)@exec=jit")
+  EXPECT_TRUE(resolved == "rs(6,3)" || resolved == "rs(6,3)@exec=interp")
       << "exec=auto resolved to " << resolved;
   EXPECT_EQ(canonical_spec("rs(6,3)@isa=avx512"), "rs(6,3)@isa=avx512");
   EXPECT_EQ(canonical_spec("rs(6,3)@isa=neon,exec=interp"), "rs(6,3)@isa=neon,exec=interp");
-  // exec=jit always constructs: without a host compiler the executor
-  // degrades to lowered rather than failing codec creation.
-  EXPECT_NO_THROW(make_codec("rs(6,3)@exec=jit"));
   EXPECT_THROW(make_codec("rs(6,3)@exec=bogus"), std::invalid_argument);
   EXPECT_THROW(make_codec("rs(6,3)@isa=sse2"), std::invalid_argument);
 }
@@ -216,11 +192,6 @@ TEST(ExecBackendGrammar, ExecInfoReportsResolvedBackend) {
 
   const auto interp = make_codec("rs(6,3)@exec=interp");
   EXPECT_EQ(interp->exec_info().backend, "interp");
-
-  if (runtime::JitCache::available()) {
-    const auto jit = make_codec("rs(6,3)@exec=jit");
-    EXPECT_EQ(jit->exec_info().backend, "jit");
-  }
 
   // Explicit isa= requests resolve verbatim — unless the process runs under
   // XOREC_FORCE_ISA (the CI force-isa legs), which clamps every resolution.
@@ -248,15 +219,57 @@ TEST(ExecBackendGrammar, FingerprintSeparatesBackends) {
   nt.nt_threshold = 64;  // different lowered instruction stream
   EXPECT_NE(ec::PlanCache::fingerprint_config(pl, nt),
             ec::PlanCache::fingerprint_config(pl, lowered));
+}
 
-  // jit is a third distinct resolved backend, never sharing plan entries
-  // with interp or lowered.
-  runtime::ExecOptions jit_b;
-  jit_b.backend = runtime::ExecBackend::Jit;
-  EXPECT_NE(ec::PlanCache::fingerprint_config(pl, jit_b),
-            ec::PlanCache::fingerprint_config(pl, lowered));
-  EXPECT_NE(ec::PlanCache::fingerprint_config(pl, jit_b),
-            ec::PlanCache::fingerprint_config(pl, interp));
+// The exec= name of the removed runtime-compiled backend.
+constexpr char kRemovedBackend[] = "jit";
+
+TEST(ExecBackendGrammar, RemovedBackendIsASpecError) {
+  // A bad exec= value like any other: the error names the accepted values,
+  // and XOREC_FORCE_EXEC (same parser) treats it as an unknown name.
+  EXPECT_EQ(runtime::parse_exec_backend(kRemovedBackend), std::nullopt);
+  const std::string spec = std::string("rs(6,3)@exec=") + kRemovedBackend;
+  try {
+    (void)parse_spec(spec);
+    FAIL() << spec << " parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("interp|lowered|auto"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ExecBackendGrammar, ProfileNamingRemovedBackendIsSkippedAsOptionDrift) {
+  // A profile saved while the removed backend existed still loads: its codec
+  // record no longer parses, so warmup skips it like any other stale option
+  // and the rest of the profile replays — the path is not poisoned.
+  const std::string path = ::testing::TempDir() + "xorec_exec_removed_backend.profile";
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << "xorec-plan-profile v1\n"
+        << "codec rs(6,3)@exec=" << kRemovedBackend << " fp 1 2 3\n"
+        << "pattern 0 | 1 2 3 4 5 6\n"
+        << "codec rs(6,3) fp 1 2 3\n"
+        << "pattern 0 | 1 2 3 4 5 6\n";
+  }
+  const auto isolated = [] {
+    CodecService::Options opt;
+    opt.shards = 1;
+    opt.plan_cache = std::make_shared<ec::PlanCache>(0, 2);
+    return opt;
+  };
+  {
+    CodecService service(isolated());
+    const CodecService::WarmupReport report = service.warmup(path);
+    EXPECT_EQ(report.codecs, 1u);
+    EXPECT_EQ(report.skipped, 1u);
+  }
+  CodecService service(isolated());
+  ServiceHandle h = service.acquire("rs(6,3)@warmup=" + path);
+  (void)h.plan_reconstruct({1, 2, 3, 4, 5, 6}, {0});
+  const ServiceStats stats = service.stats();
+  EXPECT_GT(stats.warm_hits, 0u);
+  EXPECT_EQ(stats.warm_misses, 0u);
+  std::remove(path.c_str());
 }
 
 TEST(ExecBackendForceIsa, OverrideClampsEveryResolution) {
@@ -279,405 +292,6 @@ TEST(ExecBackendForceIsa, OverrideClampsEveryResolution) {
   const Stripe ref_st = encoded_stripe(*ref, st.frag_len, /*seed=*/5);
   for (size_t f = 0; f < ref->total_fragments(); ++f)
     EXPECT_EQ(st.frags[f], ref_st.frags[f]) << "fragment " << f;
-}
-
-// ---- jit artifact-cache concurrency & integrity --------------------------
-//
-// These tests exercise the cross-process single-compile protocol: N threads
-// and multiple processes racing the same content fingerprint must produce
-// exactly one compiler invocation, byte-identical outputs, and never observe
-// a torn .so. `cache=private` keeps the shared plan cache from handing every
-// racer the same already-jitted Executor, so each construction really walks
-// the jit cache. Each test gets a fresh artifact dir via XOREC_JIT_CACHE_DIR
-// (resolved per call), restored on scope exit.
-
-constexpr char kJitRaceSpec[] = "rs(5,2)@exec=jit,cache=private";
-
-/// Pins the process-wide exec override to real interp for a scope. The jit
-/// battery builds "@exec=interp" reference codecs before measuring compile
-/// counters; under the CI exec=jit force leg those references would silently
-/// resolve to jit and pre-populate the very artifact dir the stats window is
-/// about to measure, collapsing every "exactly one compile" delta to zero.
-struct InterpRefPin {
-  std::optional<runtime::ExecBackend> saved = runtime::forced_exec_backend();
-  InterpRefPin() {
-    runtime::set_forced_exec_backend_for_testing(runtime::ExecBackend::Interp);
-  }
-  ~InterpRefPin() { runtime::set_forced_exec_backend_for_testing(saved); }
-};
-
-/// Skip rule for the jit battery: no host compiler, or the process is
-/// force-clamped to a non-jit backend (the CI force legs other than jit).
-bool jit_tests_enabled() {
-  if (!runtime::JitCache::available()) return false;
-  const auto forced = runtime::forced_exec_backend();
-  return !forced || *forced == runtime::ExecBackend::Jit;
-}
-
-struct JitDirGuard {
-  std::string dir;
-  std::string saved;
-  bool had = false;
-
-  JitDirGuard() {
-    char tmpl[] = "/tmp/xorec_jittest_XXXXXX";
-    if (const char* d = mkdtemp(tmpl)) dir = d;
-    if (const char* p = std::getenv("XOREC_JIT_CACHE_DIR")) {
-      had = true;
-      saved = p;
-    }
-    if (!dir.empty()) setenv("XOREC_JIT_CACHE_DIR", dir.c_str(), 1);
-  }
-  ~JitDirGuard() {
-    if (had)
-      setenv("XOREC_JIT_CACHE_DIR", saved.c_str(), 1);
-    else
-      unsetenv("XOREC_JIT_CACHE_DIR");
-    if (!dir.empty()) {
-      std::error_code ec;
-      std::filesystem::remove_all(dir, ec);
-    }
-  }
-};
-
-uint64_t stripe_hash(const Stripe& st) {
-  uint64_t h = 1469598103934665603ull;
-  for (const auto& f : st.frags)
-    for (uint8_t b : f) h = (h ^ b) * 1099511628211ull;
-  return h;
-}
-
-TEST(JitArtifactCache, ThreadsRaceOneCompile) {
-  if (!jit_tests_enabled()) GTEST_SKIP() << "jit unavailable or force-clamped away";
-  JitDirGuard guard;
-  ASSERT_FALSE(guard.dir.empty());
-
-  Stripe ref_st;
-  size_t frag_len = 0, total_frags = 0;
-  {
-    InterpRefPin pin;
-    const auto ref = make_codec("rs(5,2)@exec=interp");
-    frag_len = ref->fragment_multiple() * kOddStrip;
-    total_frags = ref->total_fragments();
-    ref_st = encoded_stripe(*ref, frag_len, /*seed=*/11);
-  }
-
-  auto& jc = runtime::JitCache::instance();
-  jc.clear_memory_cache();
-  const auto s0 = runtime::jit_cache_stats();
-
-  constexpr int kThreads = 8;
-  std::vector<std::unique_ptr<Codec>> codecs(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&codecs, t] { codecs[t] = make_codec(kJitRaceSpec); });
-  for (auto& th : threads) th.join();
-
-  const auto s1 = runtime::jit_cache_stats();
-  EXPECT_EQ(s1.compiles - s0.compiles, 1u) << "racers must collapse onto one compile";
-  EXPECT_EQ(s1.fallbacks, s0.fallbacks) << "no racer may silently degrade to lowered";
-
-  for (int t = 0; t < kThreads; ++t) {
-    ASSERT_TRUE(codecs[t]);
-    EXPECT_EQ(codecs[t]->exec_info().backend, "jit") << "thread " << t;
-    const Stripe st = encoded_stripe(*codecs[t], frag_len, /*seed=*/11);
-    for (size_t f = 0; f < total_frags; ++f)
-      ASSERT_EQ(st.frags[f], ref_st.frags[f]) << "thread " << t << " fragment " << f;
-  }
-}
-
-TEST(JitArtifactCache, WarmRebuildLoadsWithoutCompiler) {
-  if (!jit_tests_enabled()) GTEST_SKIP() << "jit unavailable or force-clamped away";
-  JitDirGuard guard;
-  ASSERT_FALSE(guard.dir.empty());
-
-  Stripe ref_st;
-  size_t frag_len = 0, total_frags = 0;
-  {
-    InterpRefPin pin;
-    const auto ref = make_codec("rs(5,2)@exec=interp");
-    frag_len = ref->fragment_multiple() * kOddStrip;
-    total_frags = ref->total_fragments();
-    ref_st = encoded_stripe(*ref, frag_len, /*seed=*/12);
-  }
-
-  auto& jc = runtime::JitCache::instance();
-  jc.clear_memory_cache();
-  const auto s0 = runtime::jit_cache_stats();
-  const auto cold = make_codec(kJitRaceSpec);
-  const auto s1 = runtime::jit_cache_stats();
-  EXPECT_EQ(s1.compiles - s0.compiles, 1u);
-
-  // Drop the in-process memo: the rebuild must take the on-disk artifact
-  // path — dlopen only, ZERO compiler invocations (the warmed-process
-  // acceptance claim, without the fork).
-  jc.clear_memory_cache();
-  const auto s2 = runtime::jit_cache_stats();
-  const auto warm = make_codec(kJitRaceSpec);
-  const auto s3 = runtime::jit_cache_stats();
-  EXPECT_EQ(s3.compiles, s2.compiles) << "warm activation must not invoke the compiler";
-  EXPECT_GE(s3.artifact_loads - s2.artifact_loads, 1u);
-  EXPECT_EQ(warm->exec_info().backend, "jit");
-
-  const Stripe cold_st = encoded_stripe(*cold, frag_len, /*seed=*/12);
-  const Stripe warm_st = encoded_stripe(*warm, frag_len, /*seed=*/12);
-  for (size_t f = 0; f < total_frags; ++f) {
-    ASSERT_EQ(cold_st.frags[f], ref_st.frags[f]) << "cold fragment " << f;
-    ASSERT_EQ(warm_st.frags[f], ref_st.frags[f]) << "warm fragment " << f;
-  }
-}
-
-TEST(JitArtifactCache, CorruptArtifactRejectedAndRebuilt) {
-  if (!jit_tests_enabled()) GTEST_SKIP() << "jit unavailable or force-clamped away";
-  JitDirGuard guard;
-  ASSERT_FALSE(guard.dir.empty());
-
-  Stripe ref_st;
-  size_t frag_len = 0, total_frags = 0;
-  {
-    InterpRefPin pin;
-    const auto ref = make_codec("rs(5,2)@exec=interp");
-    frag_len = ref->fragment_multiple() * kOddStrip;
-    total_frags = ref->total_fragments();
-    ref_st = encoded_stripe(*ref, frag_len, /*seed=*/13);
-  }
-
-  auto& jc = runtime::JitCache::instance();
-  jc.clear_memory_cache();
-  { const auto cold = make_codec(kJitRaceSpec); }
-
-  // Replace every artifact in the fresh dir (there is exactly one) with a
-  // garbage file, published by rename exactly like a buggy writer that
-  // skipped the compile step would. Rename-over (not truncate-in-place)
-  // matters: the original inode is still mapped by the codec we just built,
-  // and shrinking a live mapping's backing file makes any refault of its
-  // pages SIGBUS — that's memory corruption, which no cache protocol can
-  // detect; on-disk corruption is what the reject path defends against.
-  std::vector<std::filesystem::path> artifacts;
-  for (const auto& entry : std::filesystem::directory_iterator(guard.dir))
-    if (entry.path().extension() == ".so") artifacts.push_back(entry.path());
-  ASSERT_GE(artifacts.size(), 1u);
-  for (const auto& so : artifacts) {
-    const std::filesystem::path bogus = so.string() + ".bogus";
-    std::ofstream(bogus) << "not an ELF";
-    std::filesystem::rename(bogus, so);
-  }
-
-  jc.clear_memory_cache();
-  const auto s2 = runtime::jit_cache_stats();
-  const auto rebuilt = make_codec(kJitRaceSpec);
-  const auto s3 = runtime::jit_cache_stats();
-  EXPECT_GE(s3.rejected - s2.rejected, 1u) << "corrupt artifact must be detected";
-  EXPECT_EQ(s3.compiles - s2.compiles, 1u) << "and rebuilt via one fresh compile";
-  EXPECT_EQ(rebuilt->exec_info().backend, "jit");
-
-  const Stripe st = encoded_stripe(*rebuilt, frag_len, /*seed=*/13);
-  for (size_t f = 0; f < total_frags; ++f)
-    ASSERT_EQ(st.frags[f], ref_st.frags[f]) << "fragment " << f;
-}
-
-// The artifact dir is a trust boundary (it feeds dlopen): a symlinked dir is
-// refused outright, a lax mode on a dir we own is tightened to 0700 before
-// use, shell metacharacters in the path are inert (the compiler is spawned
-// with an argv vector, not a shell), and an artifact whose baked fingerprint
-// symbol disagrees with its filename is rejected before any of it runs.
-
-TEST(JitArtifactCache, SymlinkCacheDirRefused) {
-  if (!jit_tests_enabled()) GTEST_SKIP() << "jit unavailable or force-clamped away";
-  JitDirGuard guard;
-  ASSERT_FALSE(guard.dir.empty());
-  const std::string real = guard.dir + "/real";
-  const std::string link = guard.dir + "/link";
-  std::filesystem::create_directory(real);
-  std::filesystem::create_directory_symlink(real, link);
-  setenv("XOREC_JIT_CACHE_DIR", link.c_str(), 1);
-
-  auto& jc = runtime::JitCache::instance();
-  jc.clear_memory_cache();
-  const auto s0 = runtime::jit_cache_stats();
-  const auto codec = make_codec(kJitRaceSpec);
-  const auto s1 = runtime::jit_cache_stats();
-  EXPECT_EQ(codec->exec_info().backend, "lowered")
-      << "a symlinked artifact dir must make jit unavailable";
-  EXPECT_GE(s1.fallbacks - s0.fallbacks, 1u);
-  EXPECT_EQ(s1.compiles, s0.compiles) << "nothing may be compiled into a symlinked dir";
-}
-
-TEST(JitArtifactCache, LaxDirModeTightenedBeforeUse) {
-  if (!jit_tests_enabled()) GTEST_SKIP() << "jit unavailable or force-clamped away";
-  JitDirGuard guard;
-  ASSERT_FALSE(guard.dir.empty());
-  namespace fs = std::filesystem;
-  fs::permissions(guard.dir, fs::perms::owner_all | fs::perms::group_all |
-                                 fs::perms::others_read | fs::perms::others_exec);
-
-  auto& jc = runtime::JitCache::instance();
-  jc.clear_memory_cache();
-  const auto codec = make_codec(kJitRaceSpec);
-  EXPECT_EQ(codec->exec_info().backend, "jit");
-  const fs::perms mode = fs::status(guard.dir).permissions();
-  EXPECT_EQ(mode & (fs::perms::group_all | fs::perms::others_all), fs::perms::none)
-      << "group/other access must be chmod'd away before artifacts are written";
-}
-
-TEST(JitArtifactCache, CacheDirWithShellMetacharacters) {
-  if (!jit_tests_enabled()) GTEST_SKIP() << "jit unavailable or force-clamped away";
-  JitDirGuard guard;
-  ASSERT_FALSE(guard.dir.empty());
-  // Valid POSIX directory name, lethal if it ever reaches a shell.
-  const std::string tricky = guard.dir + "/jit dir;$(echo pwned)&";
-  ASSERT_TRUE(std::filesystem::create_directory(tricky));
-  setenv("XOREC_JIT_CACHE_DIR", tricky.c_str(), 1);
-
-  auto& jc = runtime::JitCache::instance();
-  jc.clear_memory_cache();
-  const auto s0 = runtime::jit_cache_stats();
-  const auto codec = make_codec(kJitRaceSpec);
-  const auto s1 = runtime::jit_cache_stats();
-  EXPECT_EQ(codec->exec_info().backend, "jit")
-      << "metacharacter paths must compile cleanly (argv exec, no shell)";
-  EXPECT_EQ(s1.compiles - s0.compiles, 1u);
-  EXPECT_EQ(s1.fallbacks, s0.fallbacks);
-}
-
-TEST(JitArtifactCache, SwappedArtifactRejectedByFingerprint) {
-  if (!jit_tests_enabled()) GTEST_SKIP() << "jit unavailable or force-clamped away";
-  JitDirGuard guard;
-  ASSERT_FALSE(guard.dir.empty());
-
-  Stripe ref_st;
-  size_t frag_len = 0, total_frags = 0;
-  {
-    InterpRefPin pin;
-    const auto ref = make_codec("rs(5,2)@exec=interp");
-    frag_len = ref->fragment_multiple() * kOddStrip;
-    total_frags = ref->total_fragments();
-    ref_st = encoded_stripe(*ref, frag_len, /*seed=*/15);
-  }
-
-  auto& jc = runtime::JitCache::instance();
-  jc.clear_memory_cache();
-  {
-    // Two distinct plans -> two artifacts, each a perfectly valid .so.
-    const auto a = make_codec(kJitRaceSpec);
-    const auto b = make_codec("rs(6,3)@exec=jit,cache=private");
-  }
-  std::vector<std::filesystem::path> artifacts;
-  for (const auto& entry : std::filesystem::directory_iterator(guard.dir))
-    if (entry.path().extension() == ".so") artifacts.push_back(entry.path());
-  ASSERT_GE(artifacts.size(), 2u);
-  // Publish artifact 0's bytes under artifact 1's name (rename, like a real
-  // writer): a loadable .so whose baked fingerprint disagrees with the name
-  // it was served under.
-  const std::filesystem::path clone = artifacts[1].string() + ".clone";
-  std::filesystem::copy_file(artifacts[0], clone);
-  std::filesystem::rename(clone, artifacts[1]);
-
-  jc.clear_memory_cache();
-  const auto s0 = runtime::jit_cache_stats();
-  const auto a = make_codec(kJitRaceSpec);
-  const auto b = make_codec("rs(6,3)@exec=jit,cache=private");
-  const auto s1 = runtime::jit_cache_stats();
-  EXPECT_GE(s1.rejected - s0.rejected, 1u)
-      << "the fingerprint symbol must catch a swapped artifact";
-  EXPECT_EQ(s1.compiles - s0.compiles, 1u) << "only the swapped artifact recompiles";
-  EXPECT_EQ(a->exec_info().backend, "jit");
-  EXPECT_EQ(b->exec_info().backend, "jit");
-
-  const Stripe st = encoded_stripe(*a, frag_len, /*seed=*/15);
-  for (size_t f = 0; f < total_frags; ++f)
-    ASSERT_EQ(st.frags[f], ref_st.frags[f]) << "fragment " << f;
-}
-
-// Child-process probe for the cross-process tests: when re-exec'd with
-// XOREC_JIT_PROBE_OUT set, builds the race-spec codec against the inherited
-// XOREC_JIT_CACHE_DIR and reports "<compiles> <loads> <fallbacks> <hash>".
-TEST(JitCacheProbe, CompileAndReport) {
-  const char* out_path = std::getenv("XOREC_JIT_PROBE_OUT");
-  if (!out_path) GTEST_SKIP() << "probe runs only when re-exec'd by JitArtifactCache";
-  ASSERT_TRUE(runtime::JitCache::available());
-  const auto codec = make_codec(kJitRaceSpec);
-  const size_t frag_len = codec->fragment_multiple() * kOddStrip;
-  const Stripe st = encoded_stripe(*codec, frag_len, /*seed=*/14);
-  const auto s = runtime::jit_cache_stats();
-  std::ofstream(out_path) << s.compiles << " " << s.artifact_loads << " " << s.fallbacks
-                          << " " << stripe_hash(st) << "\n";
-}
-
-struct ProbeReport {
-  size_t compiles = 0, loads = 0, fallbacks = 0;
-  uint64_t hash = 0;
-  bool ok = false;
-};
-
-ProbeReport read_probe(const std::string& path) {
-  ProbeReport r;
-  std::ifstream in(path);
-  r.ok = static_cast<bool>(in >> r.compiles >> r.loads >> r.fallbacks >> r.hash);
-  return r;
-}
-
-std::string probe_command(const std::string& out_path) {
-  const std::string exe = std::filesystem::read_symlink("/proc/self/exe").string();
-  return "XOREC_JIT_PROBE_OUT=" + out_path + " '" + exe +
-         "' --gtest_filter=JitCacheProbe.CompileAndReport >/dev/null 2>&1";
-}
-
-TEST(JitArtifactCache, TwoProcessesRaceOneCompile) {
-  if (!jit_tests_enabled()) GTEST_SKIP() << "jit unavailable or force-clamped away";
-  JitDirGuard guard;
-  ASSERT_FALSE(guard.dir.empty());
-
-  // Expected bytes, computed in-process against the interpreter.
-  uint64_t ref_hash = 0;
-  {
-    InterpRefPin pin;
-    const auto ref = make_codec("rs(5,2)@exec=interp");
-    ref_hash =
-        stripe_hash(encoded_stripe(*ref, ref->fragment_multiple() * kOddStrip, /*seed=*/14));
-  }
-
-  const std::string f1 = guard.dir + "/probe1.txt", f2 = guard.dir + "/probe2.txt";
-  // Two fresh processes race the same fingerprint concurrently; the .lock
-  // flock serializes the build, the loser dlopens the winner's artifact.
-  const std::string cmd = probe_command(f1) + " & " + probe_command(f2) + " & wait";
-  ASSERT_EQ(std::system(cmd.c_str()), 0);
-
-  const ProbeReport r1 = read_probe(f1), r2 = read_probe(f2);
-  ASSERT_TRUE(r1.ok) << "probe 1 wrote no report";
-  ASSERT_TRUE(r2.ok) << "probe 2 wrote no report";
-  EXPECT_EQ(r1.compiles + r2.compiles, 1u)
-      << "exactly one process may invoke the compiler";
-  EXPECT_EQ(r1.fallbacks + r2.fallbacks, 0u);
-  EXPECT_EQ(r1.hash, ref_hash) << "process 1 output diverged";
-  EXPECT_EQ(r2.hash, ref_hash) << "process 2 output diverged";
-}
-
-TEST(JitArtifactCache, SecondProcessZeroCompiles) {
-  if (!jit_tests_enabled()) GTEST_SKIP() << "jit unavailable or force-clamped away";
-  JitDirGuard guard;
-  ASSERT_FALSE(guard.dir.empty());
-
-  // This process populates the artifact cache...
-  auto& jc = runtime::JitCache::instance();
-  jc.clear_memory_cache();
-  const auto s0 = runtime::jit_cache_stats();
-  const auto cold = make_codec(kJitRaceSpec);
-  const auto s1 = runtime::jit_cache_stats();
-  ASSERT_EQ(s1.compiles - s0.compiles, 1u);
-  const uint64_t ref_hash =
-      stripe_hash(encoded_stripe(*cold, cold->fragment_multiple() * kOddStrip, /*seed=*/14));
-
-  // ...and a second process against the populated cache must perform ZERO
-  // compiler invocations: pure dlopen activation.
-  const std::string f = guard.dir + "/probe_warm.txt";
-  ASSERT_EQ(std::system(probe_command(f).c_str()), 0);
-  const ProbeReport r = read_probe(f);
-  ASSERT_TRUE(r.ok) << "warm probe wrote no report";
-  EXPECT_EQ(r.compiles, 0u) << "warmed process must not invoke the compiler";
-  EXPECT_GE(r.loads, 1u);
-  EXPECT_EQ(r.fallbacks, 0u);
-  EXPECT_EQ(r.hash, ref_hash) << "warm-process output diverged";
 }
 
 TEST(ExecBackendForceIsa, ForcedIsaDegradesToHost) {

@@ -224,13 +224,11 @@ TEST(ObsRegistry, FlattensEveryCounterSurface) {
   EXPECT_EQ(snap.value_or("xorec_pool_plans_total", pool), 1.0);
   EXPECT_GT(snap.value_or("xorec_pool_cached_programs", pool), 0.0);
 
-  // Plan-cache, warm-window, jit and net surfaces all present.
+  // Plan-cache, warm-window and net surfaces all present.
   EXPECT_GT(snap.value_or("xorec_plan_cache_entries"), 0.0);
   EXPECT_EQ(snap.value_or("xorec_plan_cache_hits_total"), double(st.cache.hits));
   EXPECT_EQ(snap.value_or("xorec_plan_cache_misses_total"), double(st.cache.misses));
   EXPECT_NE(snap.find("xorec_plan_cache_warm_hit_ratio"), nullptr);
-  EXPECT_NE(snap.find("xorec_jit_compiles_total"), nullptr);
-  EXPECT_NE(snap.find("xorec_jit_fallbacks_total"), nullptr);
   EXPECT_GE(snap.value_or("xorec_net_requests_total"), 1.0);  // the ping
   EXPECT_GE(snap.value_or("xorec_net_connections_accepted_total"), 1.0);
 
@@ -520,8 +518,8 @@ TEST(ObsMonitor, ServesMetricsAndStatsJsonUnderConcurrentTraffic) {
   for (const char* required :
        {"xorec_service_uptime_seconds", "xorec_shard_queue_depth",
         "xorec_plan_cache_hits_total", "xorec_plan_cache_misses_total",
-        "xorec_jit_compiles_total", "xorec_net_requests_total",
-        "xorec_net_tcp_bytes_in_total", "xorec_window_samples"})
+        "xorec_net_requests_total", "xorec_net_tcp_bytes_in_total",
+        "xorec_window_samples"})
     EXPECT_EQ(fam1.count(required), 1u) << required;
 
   std::this_thread::sleep_for(std::chrono::milliseconds(30));

@@ -177,9 +177,9 @@ TEST(StripArena, StripsDoNotOverlap) {
 
 /// The LoweredProgram tests assert backend-resolution internals (which
 /// backend an ExecOptions request lands on, lowered-program op mixes). A
-/// process-wide XOREC_FORCE_EXEC override — the CI exec=jit leg — clamps
-/// every Executor to another backend and would fail them for the wrong
-/// reason, so neutralize the override for the test's scope and restore it.
+/// process-wide override such as XOREC_FORCE_EXEC=interp clamps every
+/// Executor to another backend and would fail them for the wrong reason, so
+/// neutralize the override for the test's scope and restore it.
 struct NeutralizeExecForce {
   std::optional<runtime::ExecBackend> saved = runtime::forced_exec_backend();
   NeutralizeExecForce() { runtime::set_forced_exec_backend_for_testing(std::nullopt); }
