@@ -2,8 +2,9 @@
 //
 // Accounting follows the paper's conventions:
 //  - xor_ops(P)   = Σ (arity − 1): real XOR operations.
-//  - instructions = |body| (for fused SLP®⊕ the paper's #⊕ column counts
-//    fused instructions; see EXPERIMENTS.md).
+//  - instructions = |body|. For the fused and scheduled stages the paper's
+//    §7.5 #⊕ column counts fused instructions, not XORs, so the stage
+//    tables report this measure there.
 //  - mem_accesses(P, form):
 //      Binary form (Base / (Xor)RePair output, executed as binary chains):
 //        3 per XOR — load, load, store (§5).

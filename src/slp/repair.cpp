@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
-#include <set>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -59,6 +57,7 @@ class Compressor {
     values_.resize(n);
     alias_.assign(n, Term::var(UINT32_MAX));
     alive_.assign(n, true);
+    traces_.resize(n);
     n_alive_ = 0;
     for (size_t i = 0; i < n; ++i) {
       defs_[i] = defs_by_var[flat.outputs[i]];
@@ -70,6 +69,8 @@ class Compressor {
         alive_[i] = false;
       } else {
         ++n_alive_;
+        traces_[i].rem = {values_[i]};
+        traces_[i].size = {values_[i].popcount()};
       }
     }
     for (size_t i = 0; i < n; ++i)
@@ -87,22 +88,45 @@ class Compressor {
 
  private:
   // ---- pair bookkeeping -------------------------------------------------
-  void inc_pair(const TermPair& p) {
-    uint32_t& c = counts_[p];
-    if (c > 0) buckets_[c].erase(p);
-    ++c;
+  // Every live pair owns one slot: its count and its position inside the
+  // bucket of pairs with that count. Buckets are unordered; a removal swaps
+  // the bucket's last entry into the hole.
+  struct Slot {
+    uint32_t count = 0;
+    uint32_t pos = 0;
+  };
+  using PairEntry = std::pair<const TermPair, Slot>;  // node-stable in pairs_
+
+  void bucket_add(PairEntry* e) {
+    const uint32_t c = e->second.count;
     if (buckets_.size() <= c) buckets_.resize(c + 1);
-    buckets_[c].insert(p);
+    e->second.pos = static_cast<uint32_t>(buckets_[c].size());
+    buckets_[c].push_back(e);
     max_count_ = std::max<size_t>(max_count_, c);
   }
+  void bucket_remove(PairEntry* e) {
+    std::vector<PairEntry*>& b = buckets_[e->second.count];
+    PairEntry* last = b.back();
+    b[e->second.pos] = last;
+    last->second.pos = e->second.pos;
+    b.pop_back();
+  }
+  void inc_pair(const TermPair& p) {
+    auto [it, fresh] = pairs_.try_emplace(p);
+    PairEntry* e = &*it;
+    if (!fresh) bucket_remove(e);
+    ++e->second.count;
+    bucket_add(e);
+  }
   void dec_pair(const TermPair& p) {
-    auto it = counts_.find(p);
-    assert(it != counts_.end() && it->second > 0);
-    buckets_[it->second].erase(p);
-    if (--it->second == 0) {
-      counts_.erase(it);
+    auto it = pairs_.find(p);
+    assert(it != pairs_.end() && it->second.count > 0);
+    PairEntry* e = &*it;
+    bucket_remove(e);
+    if (--e->second.count == 0) {
+      pairs_.erase(it);
     } else {
-      buckets_[it->second].insert(p);
+      bucket_add(e);
     }
   }
   void add_all_pairs(const Def& d) {
@@ -117,7 +141,9 @@ class Compressor {
   TermPair choose_pair() {
     while (max_count_ > 0 && buckets_[max_count_].empty()) --max_count_;
     assert(max_count_ > 0 && "alive defs always expose at least one pair");
-    return *buckets_[max_count_].begin();  // ⊏-smallest among most frequent
+    const std::vector<PairEntry*>& top = buckets_[max_count_];
+    const auto by_pair = [](const PairEntry* a, const PairEntry* b) { return a->first < b->first; };
+    return (*std::min_element(top.begin(), top.end(), by_pair))->first;  // ⊏-smallest
   }
 
   // ---- temporals ---------------------------------------------------------
@@ -182,7 +208,19 @@ class Compressor {
     alive_[orig] = false;
     --n_alive_;
     defs_[orig].clear();
+    traces_[orig] = {};
   }
+
+  /// One original's greedy Rebuild run: rem[k] is the remainder before step
+  /// k and size[k] its popcount; step k XORs in temporal pick[k], so
+  /// size[k + 1] is that pick's score. rem.back() is where the run stopped.
+  /// The run is exact over temporals [0, seen).
+  struct Trace {
+    std::vector<BitRow> rem;
+    std::vector<size_t> size;
+    std::vector<uint32_t> pick;
+    uint32_t seen = 0;
+  };
 
   void rebuild_all() {
     for (size_t i = 0; i < defs_.size(); ++i) {
@@ -191,13 +229,64 @@ class Compressor {
     }
   }
 
+  /// Rebuild(v) of §4.4: greedily XOR into the remainder the temporal that
+  /// shrinks it most (ties keep the lower-index temporal), never re-picking
+  /// one, until nothing shrinks it; adopt the result when it is smaller than
+  /// the current definition.
+  ///
+  /// Temporals are append-only and their values never change, so the greedy
+  /// run of an earlier pass stays valid up to the first step where a
+  /// temporal minted since then scores strictly lower than that step's pick
+  /// (or than the remainder, at the step where the run stopped). Only the
+  /// run from that step on is recomputed.
   void rebuild_one(size_t orig) {
-    BitRow rem = values_[orig];
+    Trace& tr = traces_[orig];
+    const size_t from = first_divergence(tr);
+    if (from <= tr.pick.size()) extend_trace(tr, from);
+    tr.seen = static_cast<uint32_t>(temps_.size());
+
+    const size_t new_size = tr.size.back() + tr.pick.size();
+    if (new_size >= defs_[orig].size()) return;
+
+    Def nd;
+    nd.reserve(new_size);
+    for (uint32_t t : tr.pick) nd.push_back(Term::var(t));
+    for (uint32_t c : tr.rem.back().ones()) nd.push_back(Term::constant(c));
+    std::sort(nd.begin(), nd.end());
+
+    remove_all_pairs(defs_[orig]);
+    defs_[orig] = std::move(nd);
+    if (defs_[orig].size() == 1) {
+      retire(orig, defs_[orig][0]);
+    } else {
+      add_all_pairs(defs_[orig]);
+    }
+  }
+
+  /// The first step of `tr` where a temporal minted after the run scores
+  /// strictly below that step's pick (at the stop step: below the
+  /// remainder); pick.size() + 1 when the run still holds.
+  size_t first_divergence(const Trace& tr) const {
+    const size_t steps = tr.pick.size();
+    for (size_t k = 0; k <= steps; ++k) {
+      const size_t bar = tr.size[std::min(k + 1, steps)];
+      for (uint32_t t = tr.seen; t < temps_.size(); ++t)
+        if (tr.rem[k].xor_popcount(temp_values_[t]) < bar) return k;
+    }
+    return steps + 1;
+  }
+
+  /// Drops the trace's steps from `from` on and reruns the greedy search
+  /// over every temporal from there.
+  void extend_trace(Trace& tr, size_t from) {
+    tr.rem.resize(from + 1);
+    tr.size.resize(from + 1);
+    tr.pick.resize(from);
     std::vector<bool> in_s(temps_.size(), false);
-    std::vector<uint32_t> s;
-    size_t rem_size = rem.popcount();
+    for (uint32_t t : tr.pick) in_s[t] = true;
     for (;;) {
-      size_t best_size = rem_size;
+      const BitRow& rem = tr.rem.back();
+      size_t best_size = tr.size.back();
       uint32_t best = UINT32_MAX;
       for (uint32_t t = 0; t < temps_.size(); ++t) {
         if (in_s[t]) continue;
@@ -207,28 +296,12 @@ class Compressor {
           best = t;
         }
       }
-      if (best == UINT32_MAX) break;
-      rem ^= temp_values_[best];
-      rem_size = best_size;
+      if (best == UINT32_MAX) return;
+      BitRow next = rem ^ temp_values_[best];
       in_s[best] = true;
-      s.push_back(best);
-    }
-    const size_t new_size = rem_size + s.size();
-    if (new_size >= defs_[orig].size()) return;
-
-    Def nd;
-    nd.reserve(new_size);
-    std::sort(s.begin(), s.end());
-    for (uint32_t t : s) nd.push_back(Term::var(t));
-    for (uint32_t c : rem.ones()) nd.push_back(Term::constant(c));
-    std::sort(nd.begin(), nd.end());
-
-    remove_all_pairs(defs_[orig]);
-    defs_[orig] = std::move(nd);
-    if (defs_[orig].size() == 1) {
-      retire(orig, defs_[orig][0]);
-    } else {
-      add_all_pairs(defs_[orig]);
+      tr.pick.push_back(best);
+      tr.rem.push_back(std::move(next));
+      tr.size.push_back(best_size);
     }
   }
 
@@ -286,6 +359,7 @@ class Compressor {
   std::vector<BitRow> values_;  // fixed semantic values of the originals
   std::vector<Term> alias_;     // final term of each retired original
   std::vector<bool> alive_;
+  std::vector<Trace> traces_;   // Rebuild runs of the live originals
   size_t n_alive_ = 0;
 
   std::vector<Instruction> temps_;   // t_i <- lo ⊕ hi, ids in generation order
@@ -293,8 +367,8 @@ class Compressor {
   std::unordered_map<TermPair, uint32_t, TermPairHash> temp_lookup_;
   std::vector<BitRow> const_values_;  // lazily built unit vectors
 
-  std::unordered_map<TermPair, uint32_t, TermPairHash> counts_;
-  std::vector<std::set<TermPair>> buckets_;  // by count, ⊏-ordered inside
+  std::unordered_map<TermPair, Slot, TermPairHash> pairs_;
+  std::vector<std::vector<PairEntry*>> buckets_;  // by count, unordered inside
   size_t max_count_ = 0;
 };
 

@@ -7,7 +7,7 @@
 // variable has been compressed down to an alias of a temporal (or of a
 // constant, which materializes as a unary copy).
 //
-// Faithfulness notes (see EXPERIMENTS.md):
+// Faithfulness notes:
 //  - pair choice: most frequent pair across the live original definitions,
 //    ties broken by the lexicographic ⊏ over ≺ (temporals-by-generation
 //    before constants-by-index), exactly as §4.3;
@@ -15,7 +15,11 @@
 //    minting a duplicate, and applies ⊕-cancellation when the temporal is
 //    already present in a definition (both no-ops for plain matrix inputs);
 //  - Rebuild(v) (§4.4) greedily XORs temporal *values* into the remainder,
-//    never picking a temporal already in S (re-picking would silently cancel);
+//    never picking a temporal already in S (re-picking would silently cancel),
+//    ties going to the earlier temporal. Each original keeps its greedy run
+//    between passes, and a pass recomputes it only from the first step where
+//    a temporal minted since then scores strictly better, which yields the
+//    same run as a full rescan;
 //  - a final dead-code sweep drops temporals that ended up unreferenced
 //    (possible after Rebuild rewrites definitions).
 #pragma once

@@ -178,7 +178,7 @@ TEST(Integration, XorSlpAndGfTableDecodersAgree) {
 TEST(Integration, Rs10_4EncodeReproducesPaperBaseNumbers) {
   // §7.5's base column for P_enc: #⊕ = 755, #M = 2265, NVar = 32 — exact.
   // (Our CCap lands at 96 vs the paper's 92: a touch-order convention
-  // difference in the abstract accumulate expansion; see EXPERIMENTS.md.)
+  // difference in the abstract accumulate expansion, hence the ±6 below.)
   const auto r = rs_encode_pipeline(10, 4, slp::ScheduleKind::Dfs);
   const auto base = slp::measure(r.base, slp::ExecForm::Binary);
   EXPECT_EQ(base.xor_ops, 755u);

@@ -1,8 +1,15 @@
 // RePair / XorRePair (§4.3-4.4): the paper's P0 walkthrough, semantic
-// preservation on random matrices, and the structural invariants of the
-// compressed output (binary temporals, no dead code).
+// preservation on random matrices, the structural invariants of the
+// compressed output (binary temporals, no dead code), the ⊏ tie-break, and
+// golden digests that pin every output program instruction for instruction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "api/xorec.hpp"
 #include "slp/metrics.hpp"
 #include "slp/repair.hpp"
 #include "slp/semantics.hpp"
@@ -168,4 +175,113 @@ TEST(RePair, RealCodingMatrixReductionRatioIsInPaperRegime) {
   const double ratio = static_cast<double>(xor_ops(co)) / static_cast<double>(xor_ops(base));
   EXPECT_LT(ratio, 0.60) << "xor ratio " << ratio;
   EXPECT_GT(ratio, 0.25) << "xor ratio " << ratio;
+}
+
+TEST(RePair, TiedTopPairsReplaceTheSmallestFirst) {
+  // Pairs {c0,c1}, {c2,c3} and {c4,c5} each occur in two rows and no pair
+  // occurs more often; §4.3 breaks the tie by ⊏, so t0 = c0 ⊕ c1. The
+  // later temporals follow the same rule: {c2,c3} before {c4,c5}.
+  Program p;
+  p.num_consts = 6;
+  p.num_vars = 4;
+  p.body = {
+      {0, {C(4), C(5), C(2), C(3)}},
+      {1, {C(4), C(5)}},
+      {2, {C(2), C(3), C(0), C(1)}},
+      {3, {C(0), C(1)}},
+  };
+  p.outputs = {0, 1, 2, 3};
+  for (bool rebuild : {false, true}) {
+    const Program q = repair_compress(p, {.use_rebuild = rebuild});
+    EXPECT_TRUE(equivalent(p, q));
+    ASSERT_GE(q.body.size(), 3u);
+    EXPECT_EQ(q.body[0].args, (std::vector<Term>{C(0), C(1)})) << "rebuild=" << rebuild;
+    EXPECT_EQ(q.body[1].args, (std::vector<Term>{C(2), C(3)})) << "rebuild=" << rebuild;
+    EXPECT_EQ(q.body[2].args, (std::vector<Term>{C(4), C(5)})) << "rebuild=" << rebuild;
+  }
+}
+
+namespace {
+
+uint64_t fnv1a(const std::string& s) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// Flat programs of real codes (the registry's own matrices, taken before
+/// any pass runs) plus seeded random shapes.
+std::vector<std::pair<std::string, Program>> golden_corpus() {
+  std::vector<std::pair<std::string, Program>> out;
+  const auto encoder = [&](const std::string& spec) {
+    out.emplace_back(spec + "/enc",
+                     xorec::make_codec(spec + "@passes=base")->encode_pipeline()->base);
+  };
+  encoder("rs(10,4)");
+  encoder("cauchy(6,3)");
+  encoder("lrc(6,2,2)");
+
+  const auto rs = xorec::make_codec("rs(10,4)@passes=base");
+  const std::vector<std::vector<uint32_t>> patterns = {
+      {2, 4, 5, 6}, {0}, {3, 10}, {1, 10, 11}, {0, 5, 11}, {6, 7, 8, 9}, {0, 3, 10, 13}};
+  for (const auto& erased : patterns) {
+    std::vector<uint32_t> available;
+    std::string name = "rs(10,4)/dec";
+    for (uint32_t id = 0; id < 14; ++id)
+      if (std::find(erased.begin(), erased.end(), id) == erased.end()) available.push_back(id);
+    for (uint32_t id : erased) name += "-" + std::to_string(id);
+    out.emplace_back(name, rs->plan_reconstruct(available, erased)->decode_pipeline()->base);
+  }
+
+  for (const auto& [consts, rows, seed] : std::vector<RepairParam>{
+           {8, 4, 1}, {16, 8, 2}, {13, 5, 3}, {32, 16, 4}, {48, 24, 5}, {80, 32, 6}, {64, 48, 7}})
+    out.emplace_back("random_flat(" + std::to_string(consts) + "," + std::to_string(rows) + "," +
+                         std::to_string(seed) + ")",
+                     random_flat(consts, rows, seed));
+  return out;
+}
+
+struct Golden {
+  const char* name;
+  uint64_t repair, xor_repair;  // FNV-1a of Program::to_string()
+};
+
+// Captured from the full-rescan Rebuild that the incremental one replaced:
+// any change to any output program, however small, fails the test.
+const Golden kGolden[] = {
+    {"rs(10,4)/enc", 0xe6219cfd041efdd0ull, 0xa839ef28a16b7f65ull},
+    {"cauchy(6,3)/enc", 0xdc15a0eebf53e7faull, 0x35feeee632e50f82ull},
+    {"lrc(6,2,2)/enc", 0xae8a48becb1cb590ull, 0xf37087e6b0f26cebull},
+    {"rs(10,4)/dec-2-4-5-6", 0xf0efb4e11244e2cdull, 0x3f62d6e6ab3165d9ull},
+    {"rs(10,4)/dec-0", 0xc61183b5e298e79dull, 0xc61183b5e298e79dull},
+    {"rs(10,4)/dec-3-10", 0xba3d3fb1c27e071full, 0xba3d3fb1c27e071full},
+    {"rs(10,4)/dec-1-10-11", 0xacd256156d4db104ull, 0xacd256156d4db104ull},
+    {"rs(10,4)/dec-0-5-11", 0xded0caa5fe6d1451ull, 0x60702e3317cfa6e1ull},
+    {"rs(10,4)/dec-6-7-8-9", 0xe17bc423dabd6704ull, 0x0fff356afdfef9f3ull},
+    {"rs(10,4)/dec-0-3-10-13", 0xdd7f6e8f168b7952ull, 0x33dee9ae1dee3c1full},
+    {"random_flat(8,4,1)", 0x73fb0f8b0edec151ull, 0x73fb0f8b0edec151ull},
+    {"random_flat(16,8,2)", 0xd737dcb0746fb9edull, 0xd737dcb0746fb9edull},
+    {"random_flat(13,5,3)", 0x4c71b4cf01d3650full, 0x4c71b4cf01d3650full},
+    {"random_flat(32,16,4)", 0xe7caef71c2b90f89ull, 0x72027544dc3a40efull},
+    {"random_flat(48,24,5)", 0x90371a22223d9aecull, 0x42b514c674173f3eull},
+    {"random_flat(80,32,6)", 0xa1ebd71b7e3eeb5full, 0xec7ef9db98daec4cull},
+    {"random_flat(64,48,7)", 0xa9a7ae58f784e6e0ull, 0xd9cd95e9dc8b9a4full},
+};
+
+}  // namespace
+
+TEST(RePair, OutputsMatchGoldenDigests) {
+  const auto corpus = golden_corpus();
+  ASSERT_EQ(corpus.size(), std::size(kGolden));
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    const auto& [name, flat] = corpus[i];
+    const uint64_t plain = fnv1a(repair_compress(flat).to_string());
+    const uint64_t xr = fnv1a(xor_repair_compress(flat).to_string());
+    EXPECT_EQ(name, kGolden[i].name);
+    EXPECT_EQ(plain, kGolden[i].repair) << name << " (repair)";
+    EXPECT_EQ(xr, kGolden[i].xor_repair) << name << " (xor_repair)";
+  }
 }

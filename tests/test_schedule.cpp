@@ -44,9 +44,9 @@ TEST(ScheduleDfs, PegSemanticsPreserved) {
 }
 
 TEST(ScheduleDfs, PegUsesFourPebbles) {
-  // Matches the paper's NVar(Q_DFS) = 4 (§6.6; our pebble naming differs
-  // from the paper's listing, which mis-moves a goal pebble — see
-  // EXPERIMENTS.md note on the Q_DFS typo).
+  // Matches the paper's NVar(Q_DFS) = 4 (§6.6). Only the count is pinned:
+  // our pebble naming differs from the paper's Q_DFS listing, and that
+  // listing mis-moves a goal pebble (a typo in the paper).
   const Program q = schedule_dfs(make_peg());
   EXPECT_EQ(nvar(q), 4u);
 }
