@@ -54,10 +54,9 @@ void bench_xor_chain(benchmark::State& state, kernel::Isa isa, size_t arity, siz
 }
 
 /// The lowered backend's call forms, straight off the KernelTable:
-/// fixed[k] (arity baked into the symbol), accum[k] (dst ^= srcs, one
-/// fewer source stream than the equivalent fixed[k+1]), and many_nt
-/// (streaming stores — only sensible on blocks past the cache).
-enum class Form { Fixed, Accum, ManyNt };
+/// fixed[k] (arity baked into the symbol) and accum[k] (dst ^= srcs, one
+/// fewer source stream than the equivalent fixed[k+1]).
+enum class Form { Fixed, Accum };
 
 void bench_table_form(benchmark::State& state, kernel::Isa isa, Form form, size_t arity,
                       size_t len) {
@@ -72,7 +71,6 @@ void bench_table_form(benchmark::State& state, kernel::Isa isa, Form form, size_
     switch (form) {
       case Form::Fixed: kt.fixed[arity](bufs[0].data(), srcs.data(), len); break;
       case Form::Accum: kt.accum[arity](bufs[0].data(), srcs.data(), len); break;
-      case Form::ManyNt: kt.many_nt(bufs[0].data(), srcs.data(), arity, len); break;
     }
     benchmark::ClobberMemory();
   }
@@ -132,26 +130,6 @@ int main(int argc, char** argv) {
           [isa, arity, len](benchmark::State& s) {
             bench_table_form(s, isa, Form::Accum, arity, len);
           });
-    }
-  }
-
-  // Streaming stores only pay off once the destination stops fitting in
-  // cache: regular vs non-temporal many at 4 KB (L1) and 8 MB (past LLC).
-  for (kernel::Isa isa : host_isas()) {
-    if (kernel::kernel_table(isa).many_nt == kernel::kernel_table(isa).many)
-      continue;  // no dedicated NT kernel for this family
-    const char* iname = kernel::isa_name(isa);
-    for (size_t nt_len : {4096u, 8u << 20}) {
-      const std::string suffix =
-          std::string(iname) + "/k4/len" + std::to_string(nt_len);
-      benchmark::RegisterBenchmark(("xor_nt/regular/" + suffix).c_str(),
-                                   [isa, nt_len](benchmark::State& s) {
-                                     bench_xor_many(s, isa, 4, nt_len);
-                                   });
-      benchmark::RegisterBenchmark(("xor_nt/stream/" + suffix).c_str(),
-                                   [isa, nt_len](benchmark::State& s) {
-                                     bench_table_form(s, isa, Form::ManyNt, 4, nt_len);
-                                   });
     }
   }
 

@@ -6,11 +6,6 @@
 //   dfs:    2.32 3.97 6.09 7.37 8.92 8.55 7.64
 // with NVar ~ 90 and CCap ~ 170 at every block size.
 // Shape target: peak near 1K-2K, both schedulers within a few percent.
-//
-// Each (scheduler, block) point runs twice: plain and with prefetch=1 (§8's
-// software-prefetch direction — next block's input lines pulled while the
-// current block computes), so the experiment is driveable from a spec
-// string and the on/off delta is a single table away.
 #include "bench_common.hpp"
 
 #include <cstdio>
@@ -30,22 +25,17 @@ int main(int argc, char** argv) {
     const char* sched_name = sched == slp::ScheduleKind::Greedy ? "greedy" : "dfs";
     bool printed = false;
     for (size_t block : {64u, 128u, 256u, 512u, 1024u, 2048u, 4096u}) {
-      for (bool prefetch : {false, true}) {
-        ec::CodecOptions opt = full_options(block, sched);
-        opt.exec.prefetch_next_block = prefetch;  // the spec string's prefetch=1
-        auto codec = std::make_shared<ec::RsCodec>(n, p, opt);
-        if (!printed) {
-          const auto m = slp::measure(codec->encode_pipeline()->final_program(),
-                                      slp::ExecForm::Fused);
-          std::printf("P_Full_enc (%s) static measures: NVar=%zu CCap=%zu "
-                      "(paper: NVar~90 CCap~170)\n",
-                      sched_name, m.nvar, m.ccap);
-          printed = true;
-        }
-        register_encode(std::string("full_encode/") + sched_name + "/B" +
-                            std::to_string(block) + (prefetch ? "/prefetch" : "/plain"),
-                        codec, cluster);
+      auto codec = std::make_shared<ec::RsCodec>(n, p, full_options(block, sched));
+      if (!printed) {
+        const auto m = slp::measure(codec->encode_pipeline()->final_program(),
+                                    slp::ExecForm::Fused);
+        std::printf("P_Full_enc (%s) static measures: NVar=%zu CCap=%zu "
+                    "(paper: NVar~90 CCap~170)\n",
+                    sched_name, m.nvar, m.ccap);
+        printed = true;
       }
+      register_encode(std::string("full_encode/") + sched_name + "/B" + std::to_string(block),
+                      codec, cluster);
     }
   }
 

@@ -198,8 +198,7 @@ inline void register_decode_plan(const std::string& name,
 /// Batched encode benchmark: every cluster of the (shared) set is submitted
 /// through one BatchCoder session per iteration; flush() is the barrier.
 /// Register with threads = 1 for the session-overhead baseline, >= 2 for
-/// stripe-level speedup (the session codec should keep threads=1 —
-/// parallelism comes from stripes, not intra-stripe splitting).
+/// stripe-level speedup (each stripe runs on one worker).
 inline void register_encode_batch(const std::string& name,
                                   std::shared_ptr<const Codec> codec,
                                   std::shared_ptr<ClusterSet> clusters, size_t threads) {

@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
       {"scheduled", ""},
       {"multilevel", ",sched=multilevel"},
       // The execution-backend axis on the fully scheduled program:
-      // "scheduled" runs exec=auto (lowered straight-line kernels); this row
+      // "scheduled" runs the default lowered straight-line kernels; this row
       // pins the interpreting executor on the SAME compiled plan.
       {"interp", ",exec=interp"},
   };

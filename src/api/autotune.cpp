@@ -18,10 +18,10 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /// The shared calibration workload: the fully optimized RS(8,3) encode SLP
-/// over 8 x 256 KiB fragments (the working set dwarfs L2, so the blocking /
-/// backend choice is what the measurement sees). The compiled program is
-/// independent of both knobs, so it compiles ONCE per workload instance and
-/// the sweeps time cheap Executor rebuilds.
+/// over 8 x 256 KiB fragments (the working set dwarfs L2, so the blocking
+/// choice is what the measurement sees). The compiled program is
+/// independent of the block size, so it compiles ONCE and the sweep times
+/// cheap Executor rebuilds.
 struct CalibrationWorkload {
   runtime::ExecProgram prog;
   std::vector<std::vector<uint8_t>> data_bufs, parity_bufs;
@@ -77,48 +77,29 @@ struct CalibrationWorkload {
 
 size_t measure_auto_block() {
   const CalibrationWorkload w;
-  size_t best = 2048;  // overwritten by the first candidate below
-  double best_time = 1e300;
-  for (size_t block : {512u, 1024u, 2048u, 4096u, 8192u}) {
+  const std::vector<size_t> blocks{512, 1024, 2048, 4096, 8192};
+  std::vector<double> times;
+  for (size_t block : blocks) {
     runtime::ExecOptions eo;
     eo.block_size = block;
-    const runtime::Executor exec(w.prog, eo);
-    const double elapsed = w.time_executor(exec);
-    // A candidate must beat the incumbent by 5% to displace it: filters
-    // timing noise and keeps the default on machines where B barely matters.
-    if (elapsed < best_time * 0.95) {
-      best_time = elapsed;
-      best = block;
-    } else if (elapsed < best_time) {
-      best_time = elapsed;
-    }
+    times.push_back(w.time_executor(runtime::Executor(w.prog, eo)));
   }
-  return best;
-}
-
-runtime::ExecBackend measure_auto_exec() {
-  const CalibrationWorkload w;
-  auto time_backend = [&](runtime::ExecBackend b) {
-    runtime::ExecOptions eo;
-    eo.backend = b;
-    return w.time_executor(runtime::Executor(w.prog, eo));
-  };
-  // The interpreter must beat the incumbent lowered backend by 5%.
-  const double lowered = time_backend(runtime::ExecBackend::Lowered);
-  const double interp = time_backend(runtime::ExecBackend::Interp);
-  return interp < lowered * 0.95 ? runtime::ExecBackend::Interp
-                                 : runtime::ExecBackend::Lowered;
+  // The 5% margin filters timing noise and keeps the smaller block on
+  // machines where B barely matters.
+  return blocks[pick_with_margin(times, 0.05)];
 }
 
 }  // namespace
 
-size_t auto_block_size() {
-  static const size_t measured = measure_auto_block();
-  return measured;
+size_t pick_with_margin(const std::vector<double>& times, double margin) {
+  size_t best = 0;
+  for (size_t i = 1; i < times.size(); ++i)
+    if (times[i] < times[best] * (1.0 - margin)) best = i;
+  return best;
 }
 
-runtime::ExecBackend auto_exec_backend() {
-  static const runtime::ExecBackend measured = measure_auto_exec();
+size_t auto_block_size() {
+  static const size_t measured = measure_auto_block();
   return measured;
 }
 

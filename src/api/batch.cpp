@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "api/autotune.hpp"
 #include "api/registry.hpp"
 #include "ec/rs_codec.hpp"
 
@@ -58,20 +59,12 @@ size_t measure_auto_workers() {
   if (candidates.back() != hw) candidates.push_back(hw);
 
   time_encode_batch(codec, 1, frag_len, data, parity_ptrs);  // warmup
-  size_t best = 1;
-  double best_time = 1e300;
-  for (size_t c : candidates) {
-    const double t = time_encode_batch(codec, c, frag_len, data, parity_ptrs);
-    // Require a real win over fewer workers: 10% slack filters timing noise
-    // and keeps the count low on machines where scaling is flat.
-    if (t < best_time * 0.9) {
-      best_time = t;
-      best = c;
-    } else if (t < best_time) {
-      best_time = t;
-    }
-  }
-  return best;
+  std::vector<double> times;
+  for (size_t c : candidates)
+    times.push_back(time_encode_batch(codec, c, frag_len, data, parity_ptrs));
+  // Require a real win over fewer workers: 10% slack filters timing noise
+  // and keeps the count low on machines where scaling is flat.
+  return candidates[pick_with_margin(times, 0.10)];
 }
 
 size_t resolve_threads(size_t threads) {

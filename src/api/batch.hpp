@@ -3,9 +3,8 @@
 // The ROADMAP's scale direction: one-shot encode()/reconstruct() calls
 // cannot express "repair a million stripes"; a session can. Jobs are
 // submitted (returning std::future<void>), run FIFO across a dedicated
-// runtime::TaskQueue worker group — stripe-level parallelism, complementing
-// the executor's §8 intra-stripe block parallelism — and flush() (or the
-// destructor) is the completion barrier.
+// runtime::TaskQueue worker group — stripe-level parallelism; each job runs
+// on one worker — and flush() (or the destructor) is the completion barrier.
 //
 //   xorec::BatchCoder batch("rs(10,4)@block=1024,batch=8");
 //   auto plan = batch.codec().plan_reconstruct(available_ids, erased_ids);
@@ -49,8 +48,10 @@ namespace xorec {
 /// job batch per candidate worker count up to the hardware concurrency) and
 /// picks the count with the best wall-clock throughput; the result is
 /// memoized for the process, so every later auto session starts instantly.
-/// Ties favor fewer workers (oversubscribed machines and single-core
-/// containers stop pretending to have parallelism).
+/// More workers must be 10% faster than the incumbent count to displace it
+/// (pick_with_margin in api/autotune.hpp), so ties favor fewer workers
+/// (oversubscribed machines and single-core containers stop pretending to
+/// have parallelism).
 size_t auto_batch_workers();
 
 class BatchCoder {

@@ -96,7 +96,7 @@ struct PlanReadSet {
 };
 
 /// The execution backend a codec's compiled programs actually run on, after
-/// exec=auto resolution, host-capability degrade and the XOREC_FORCE_ISA
+/// isa=auto resolution, host-capability degrade and the XOREC_FORCE_ISA
 /// override — e.g. {"lowered", "avx512"}. Empty strings for codecs without
 /// a blocked executor (the GF-table baseline, custom codecs).
 struct ExecInfo {

@@ -68,10 +68,6 @@ void apply_option(CodecSpec& cs, const std::string& key, const std::string& valu
     // specs carrying it (below) so the key is never silently ignored.
     if (value.empty()) fail(cs.spec, "warmup needs a profile path");
     cs.warmup_path = value;
-  } else if (key == "threads") {
-    const size_t t = uint_value();
-    if (t == 0) fail(cs.spec, "threads must be positive");
-    opt.exec.threads = t;
   } else if (key == "cache") {
     // Plan-cache placement: the process-shared service (default), a private
     // per-codec cache, or a private cache with an explicit LRU capacity.
@@ -97,8 +93,6 @@ void apply_option(CodecSpec& cs, const std::string& key, const std::string& valu
       if (caps[i] <= caps[i - 1])
         fail(cs.spec, "levels \"" + value + "\" must be strictly increasing");
     opt.pipeline.cache_levels = std::move(caps);
-  } else if (key == "prefetch") {
-    opt.exec.prefetch_next_block = uint_value() != 0;
   } else if (key == "batch") {
     // Session sizing for BatchCoder(spec); make_codec refuses specs carrying
     // it (below) so the key is never silently ignored.
@@ -113,14 +107,8 @@ void apply_option(CodecSpec& cs, const std::string& key, const std::string& valu
     if (auto isa = kernel::parse_isa(value.c_str())) opt.exec.isa = *isa;
     else fail(cs.spec, "isa must be scalar|word64|avx2|avx512|neon|auto, got \"" + value + "\"");
   } else if (key == "exec") {
-    // An explicit exec=auto asks for the measured backend race; resolution
-    // happens in make_codec / canonical_spec so parsing stays cheap.
-    if (auto b = runtime::parse_exec_backend(value.c_str())) {
-      opt.exec.backend = *b;
-      cs.exec_auto = *b == runtime::ExecBackend::Auto;
-    } else {
-      fail(cs.spec, "exec must be interp|lowered|auto, got \"" + value + "\"");
-    }
+    if (auto b = runtime::parse_exec_backend(value.c_str())) opt.exec.backend = *b;
+    else fail(cs.spec, "exec must be interp|lowered, got \"" + value + "\"");
   } else if (key == "passes") {
     // Preset -> pipeline mapping; rs_codec.cpp rs_name() is its inverse —
     // keep the two in sync.
@@ -398,16 +386,10 @@ std::unique_ptr<Codec> make_codec(const CodecSpec& spec) {
       spec.option_keys.end())
     fail(spec.spec, "warmup= names a service profile, not a codec option; acquire "
                     "through xorec::CodecService instead");
-  if (spec.block_auto || spec.exec_auto) {
+  if (spec.block_auto) {
     CodecSpec resolved = spec;
-    if (resolved.block_auto) {
-      resolved.options.exec.block_size = auto_block_size();
-      resolved.block_auto = false;
-    }
-    if (resolved.exec_auto) {
-      resolved.options.exec.backend = auto_exec_backend();
-      resolved.exec_auto = false;
-    }
+    resolved.options.exec.block_size = auto_block_size();
+    resolved.block_auto = false;
     return make_codec(resolved);
   }
   CodecBuilder builder;
@@ -435,10 +417,6 @@ std::string canonical_spec(const CodecSpec& given) {
   if (cs.block_auto) {
     cs.options.exec.block_size = auto_block_size();
     cs.block_auto = false;
-  }
-  if (cs.exec_auto) {
-    cs.options.exec.backend = auto_exec_backend();
-    cs.exec_auto = false;
   }
   const ec::CodecOptions def;  // the defaults every canonical token is measured against
   const auto& o = cs.options;
@@ -520,14 +498,9 @@ std::string canonical_spec(const CodecSpec& given) {
   std::vector<std::string> opts;
   if (o.exec.block_size != def.exec.block_size)
     opts.push_back("block=" + std::to_string(o.exec.block_size));
-  if (o.exec.threads != def.exec.threads)
-    opts.push_back("threads=" + std::to_string(o.exec.threads));
   if (o.exec.isa != def.exec.isa)
     opts.push_back(std::string("isa=") + kernel::isa_name(o.exec.isa));
-  // Auto resolves to Lowered: the two produce identical executors (and
-  // share plan-cache entries), so only interp, the backend that differs from
-  // that resolution, earns a token.
-  if (o.exec.backend == runtime::ExecBackend::Interp)
+  if (o.exec.backend != def.exec.backend)
     opts.push_back(std::string("exec=") + runtime::exec_backend_name(o.exec.backend));
   if (!passes_tok.empty()) opts.push_back(passes_tok);
   if (!sched_tok.empty()) opts.push_back(sched_tok);
@@ -548,7 +521,6 @@ std::string canonical_spec(const CodecSpec& given) {
     const char* m = o.family == ec::MatrixFamily::ReducedVandermonde ? "vand" : "cauchy";
     opts.push_back(std::string("matrix=") + m);
   }
-  if (o.exec.prefetch_next_block) opts.push_back("prefetch=1");
 
   std::string out = family + "(";
   for (size_t i = 0; i < args.size(); ++i)
@@ -573,10 +545,9 @@ void register_codec_family(const std::string& family, CodecBuilder builder) {
 const std::vector<std::string>& spec_option_keys() {
   // Keep in sync with apply_option above and the grammar in registry.hpp —
   // this list is what help text and error messages print.
-  static const std::vector<std::string> keys = {"block", "threads",  "isa",      "exec",
-                                                "passes", "sched",   "cap",      "levels",
-                                                "cache",  "matrix",  "prefetch", "batch",
-                                                "warmup"};
+  static const std::vector<std::string> keys = {"block", "isa",    "exec",   "passes",
+                                                "sched", "cap",    "levels", "cache",
+                                                "matrix", "batch", "warmup"};
   return keys;
 }
 

@@ -2,7 +2,7 @@
 // nameable from a flag.
 //
 //   auto codec = xorec::make_codec("rs(10,4)");
-//   auto tuned = xorec::make_codec("cauchy(12,3)@block=1024,threads=4,isa=avx2");
+//   auto tuned = xorec::make_codec("cauchy(12,3)@block=1024,isa=avx2");
 //   auto array = xorec::make_codec("evenodd(6,2)");
 //
 // Spec grammar (whitespace is ignored):
@@ -14,15 +14,11 @@
 //     block=N|auto   executor block size B in bytes (default 2048); auto
 //                    resolves to a one-shot measured sweep of this machine
 //                    (api/autotune.hpp, memoized per process)
-//     threads=N      worker threads                          (default 1)
 //     isa=K          scalar | word64 | avx2 | avx512 | neon | auto
 //                    (default auto)
-//     exec=K         interp | lowered | auto — execution backend. With no
-//                    exec= key the backend is lowered (pre-resolved kernel
-//                    calls), chosen without measurement; interp is the
-//                    reference interpreter; an explicit exec=auto resolves
-//                    to a one-shot measured interp-versus-lowered race on
-//                    this machine (api/autotune.hpp, memoized per process)
+//     exec=K         interp | lowered — execution backend (default
+//                    lowered: pre-resolved kernel calls); interp is the
+//                    reference interpreter
 //     passes=K       base | compress | fuse | full — optimizer preset
 //     sched=K        none | dfs | greedy | multilevel — scheduling pass
 //     cap=N          abstract-cache capacity override in blocks (>= 2);
@@ -32,7 +28,6 @@
 //     cache=K        shared (process-wide PlanCache, default) | private
 //                    (per-codec) | N (private with LRU capacity N, 0 = unbounded)
 //     matrix=K       isal | vand | cauchy — RS matrix family override
-//     prefetch=0|1   software-prefetch the next block's inputs
 //     batch=K        auto | N — BatchCoder session workers (api/batch.hpp);
 //                    auto runs a one-shot measured calibration. Only
 //                    meaningful to BatchCoder(spec) — plain make_codec
@@ -87,10 +82,6 @@ struct CodecSpec {
   /// block=auto given: make_codec / canonical_spec resolve it through the
   /// measured auto_block_size() sweep (api/autotune.hpp).
   bool block_auto = false;
-  /// exec=auto given explicitly: make_codec / canonical_spec resolve it
-  /// through the measured auto_exec_backend() race (api/autotune.hpp). A
-  /// spec with no exec= key keeps the cheap static Auto -> Lowered default.
-  bool exec_auto = false;
   /// warmup= value: the plan-profile path CodecService::acquire replays.
   std::string warmup_path;
 
@@ -110,8 +101,7 @@ CodecSpec parse_spec(const std::string& spec);
 /// key order is fixed, options equal to their defaults are dropped,
 /// default-able positional args are filled in ("rs(10)" -> "rs(10,4)"),
 /// matrix= folds into the RS family name ("rs(9,3)@matrix=cauchy" ->
-/// "cauchy(9,3)"), block=auto resolves to the measured byte count, an
-/// explicit exec=auto resolves to the measured backend race, and the
+/// "cauchy(9,3)"), block=auto resolves to the measured byte count, and the
 /// session/service keys batch=/warmup= are stripped (they configure a
 /// session or service, not the codec). Idempotent; round-trips through
 /// parse_spec. Throws std::invalid_argument on malformed input.

@@ -12,7 +12,7 @@
 //   xorec::ServiceStats s = service.stats();         // per-shard + per-pool
 //
 // Pooling: specs are canonicalized (canonical_spec) before lookup, so
-// "rs(10,4)@block=1024,threads=1" and "rs(10, 4) @ threads=1, block=1024"
+// "rs(10,4)@block=1024,sched=dfs" and "rs(10, 4) @ sched=dfs, block=1024"
 // lease ONE codec instance — and, through the shared PlanCache, one set of
 // compiled programs. Each pool entry is pinned round-robin to a shard; a
 // shard is a codec-less BatchCoder session (dedicated TaskQueue workers),

@@ -231,19 +231,9 @@ uint64_t PlanCache::fingerprint_config(const slp::PipelineOptions& pipeline,
   for (size_t c : pipeline.cache_levels) h = fnv_mix(h, c);
   h = fnv_mix(h, exec.block_size);
   h = fnv_mix(h, static_cast<uint64_t>(exec.isa));
-  h = fnv_mix(h, exec.threads);
   h = fnv_mix(h, exec.stagger_scratch ? 1 : 0);
-  h = fnv_mix(h, exec.prefetch_next_block ? 1 : 0);
-  // The RESOLVED backend (Auto -> Lowered), so exec=auto and exec=lowered
-  // share entries while interp and lowered executors never collide in the
-  // shared cache; the measured exec=auto is resolved earlier, in
-  // make_codec, so it arrives here concrete. nt_threshold changes the
-  // lowered instruction stream.
-  const auto backend = exec.backend == runtime::ExecBackend::Auto
-                           ? runtime::ExecBackend::Lowered
-                           : exec.backend;
-  h = fnv_mix(h, static_cast<uint64_t>(backend));
-  h = fnv_mix(h, exec.nt_threshold);
+  // interp and lowered executors never collide in the shared cache.
+  h = fnv_mix(h, static_cast<uint64_t>(exec.backend));
   return h;
 }
 

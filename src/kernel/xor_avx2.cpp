@@ -1,8 +1,7 @@
 // AVX2 kernels — compiled with -mavx2 in this TU only; selected at runtime
 // by dispatch.cpp. The 2x-unrolled main loop moves 64 bytes per iteration
 // per stream, matching the paper's xor32 (mm256_xor) inner loop. The table
-// adds fixed-arity specializations, fused accumulate (dst ^= ...) forms, and
-// a non-temporal-store variadic kernel for blocks past cache size.
+// adds fixed-arity specializations and fused accumulate (dst ^= ...) forms.
 #include "kernel/xor_kernel.hpp"
 
 #if defined(XOREC_HAVE_AVX2)
@@ -96,32 +95,6 @@ void xor_generic_avx2(uint8_t* dst, const uint8_t* const* srcs, size_t k, size_t
   }
 }
 
-/// Non-temporal variadic kernel: stores bypass the cache (the lowered
-/// backend uses it for huge-block final writes that are never re-read).
-/// _mm256_stream_si256 requires a 32-byte-aligned destination, so the head
-/// runs unaligned until dst reaches alignment, then the body streams.
-/// Contract narrowing: dst must NOT alias any source.
-void xor_many_nt_avx2(uint8_t* dst, const uint8_t* const* srcs, size_t k, size_t len) {
-  const size_t mis = reinterpret_cast<uintptr_t>(dst) & 31u;
-  const size_t head = mis ? (32 - mis < len ? 32 - mis : len) : 0;
-  if (head) xor_many_avx2(dst, srcs, k, head);
-  size_t i = head;
-  for (; i + 32 <= len; i += 32) {
-    __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(srcs[0] + i));
-    for (size_t j = 1; j < k; ++j)
-      a = _mm256_xor_si256(a, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(srcs[j] + i)));
-    _mm256_stream_si256(reinterpret_cast<__m256i*>(dst + i), a);
-  }
-  if (i < len) {
-    for (size_t b = i; b < len; ++b) {
-      uint8_t acc = srcs[0][b];
-      for (size_t j = 1; j < k; ++j) acc ^= srcs[j][b];
-      dst[b] = acc;
-    }
-  }
-  _mm_sfence();  // streaming stores are weakly ordered; publish before return
-}
-
 }  // namespace
 
 void xor_many_avx2(uint8_t* dst, const uint8_t* const* srcs, size_t k, size_t len) {
@@ -145,7 +118,6 @@ const KernelTable& avx2_table() {
     KernelTable k;
     k.isa = Isa::Avx2;
     k.many = &xor_many_avx2;
-    k.many_nt = &xor_many_nt_avx2;
     k.fixed[1] = &xor_fixed_avx2<1>;
     k.fixed[2] = &xor_fixed_avx2<2>;
     k.fixed[3] = &xor_fixed_avx2<3>;

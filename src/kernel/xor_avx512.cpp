@@ -1,8 +1,7 @@
 // AVX-512 kernels — compiled with -mavx512f -mavx512bw in this TU only and
 // selected at runtime by dispatch.cpp (cpu_has_avx512 gates on f+bw). The
 // main loop moves 128 bytes per iteration per stream with 2 zmm
-// accumulators; the non-temporal variant streams 64-byte stores for
-// destinations that are never re-read.
+// accumulators.
 #include "kernel/xor_kernel.hpp"
 
 #if defined(XOREC_HAVE_AVX512)
@@ -98,29 +97,6 @@ void xor_generic_avx512(uint8_t* dst, const uint8_t* const* srcs, size_t k, size
   }
 }
 
-/// Non-temporal variant: _mm512_stream_si512 needs a 64-byte-aligned dst, so
-/// an unaligned head runs through the regular kernel first.
-/// Contract narrowing: dst must NOT alias any source.
-void xor_many_nt_avx512(uint8_t* dst, const uint8_t* const* srcs, size_t k, size_t len) {
-  const size_t mis = reinterpret_cast<uintptr_t>(dst) & 63u;
-  const size_t head = mis ? (64 - mis < len ? 64 - mis : len) : 0;
-  if (head) xor_generic_avx512(dst, srcs, k, head);
-  size_t i = head;
-  for (; i + 64 <= len; i += 64) {
-    __m512i a = _mm512_loadu_si512(srcs[0] + i);
-    for (size_t j = 1; j < k; ++j) a = _mm512_xor_si512(a, _mm512_loadu_si512(srcs[j] + i));
-    _mm512_stream_si512(reinterpret_cast<__m512i*>(dst + i), a);
-  }
-  if (i < len) {
-    const __mmask64 m = _cvtu64_mask64((~uint64_t{0}) >> (64 - (len - i)));
-    __m512i a = _mm512_maskz_loadu_epi8(m, srcs[0] + i);
-    for (size_t j = 1; j < k; ++j)
-      a = _mm512_xor_si512(a, _mm512_maskz_loadu_epi8(m, srcs[j] + i));
-    _mm512_mask_storeu_epi8(dst + i, m, a);
-  }
-  _mm_sfence();  // streaming stores are weakly ordered; publish before return
-}
-
 }  // namespace
 
 void xor_many_avx512(uint8_t* dst, const uint8_t* const* srcs, size_t k, size_t len) {
@@ -144,7 +120,6 @@ const KernelTable& avx512_table() {
     KernelTable k;
     k.isa = Isa::Avx512;
     k.many = &xor_many_avx512;
-    k.many_nt = &xor_many_nt_avx512;
     k.fixed[1] = &xor_fixed_avx512<1>;
     k.fixed[2] = &xor_fixed_avx512<2>;
     k.fixed[3] = &xor_fixed_avx512<3>;

@@ -11,9 +11,8 @@
 //
 // Beyond the variadic entry point, every ISA exposes a KernelTable of
 // fixed-arity specializations (the arity is baked into the function, so the
-// inner loop has no source-count branch), fused accumulate forms
-// (dst ^= srcs[0] ^ ... — dst is an implicit extra source, read once), and
-// a non-temporal-store variant for blocks too large to want cache residency.
+// inner loop has no source-count branch) and fused accumulate forms
+// (dst ^= srcs[0] ^ ... — dst is an implicit extra source, read once).
 // The lowered execution backend (runtime/lowered_program.hpp) pre-resolves
 // these per instruction; the interpreter keeps using xor_many.
 #pragma once
@@ -47,13 +46,9 @@ inline constexpr size_t kMaxFixedArity = 8;
 /// (fixed[1] is a copy); `accum[j]` computes dst ^= srcs[0]^..^srcs[j-1]
 /// (dst is read once as an implicit extra source — the fused in-place form).
 /// Index 0 of both arrays is null (an instruction always has sources).
-/// `many_nt` is the variadic kernel with non-temporal stores: same contract
-/// as `many` EXCEPT dst must not alias any source (the store bypasses the
-/// cache, so it only pays off for destinations that are never re-read).
 struct KernelTable {
   Isa isa = Isa::Scalar;  // the ISA actually implemented (post-degrade)
   XorManyFn many = nullptr;
-  XorManyFn many_nt = nullptr;
   XorFixedFn fixed[kMaxFixedArity + 1] = {};
   XorFixedFn accum[kMaxFixedArity + 1] = {};
 };

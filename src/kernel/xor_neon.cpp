@@ -1,9 +1,7 @@
 // NEON kernels for aarch64 — NEON is baseline there, so no runtime probe is
 // needed beyond the compile-time gate; dispatch.cpp routes Isa::Neon (and
 // Auto) here. The main loop moves 64 bytes per iteration per stream with 4
-// q-register accumulators. No streaming-store form: aarch64 non-temporal
-// pair stores (stnp) have no portable intrinsic and weak benefit, so
-// many_nt aliases many.
+// q-register accumulators.
 #include "kernel/xor_kernel.hpp"
 
 #if defined(XOREC_HAVE_NEON)
@@ -103,7 +101,6 @@ const KernelTable& neon_table() {
     KernelTable k;
     k.isa = Isa::Neon;
     k.many = &xor_many_neon;
-    k.many_nt = &xor_many_neon;
     k.fixed[1] = &xor_fixed_neon<1>;
     k.fixed[2] = &xor_fixed_neon<2>;
     k.fixed[3] = &xor_fixed_neon<3>;

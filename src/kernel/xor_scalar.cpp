@@ -159,7 +159,6 @@ const KernelTable& scalar_table() {
     KernelTable k;
     k.isa = Isa::Scalar;
     k.many = &xor_many_scalar;
-    k.many_nt = &xor_many_scalar;  // no streaming stores at byte granularity
     k.fixed[1] = &fixed_scalar<1>;
     k.fixed[2] = &fixed_scalar<2>;
     k.fixed[3] = &fixed_scalar<3>;
@@ -186,7 +185,6 @@ const KernelTable& word64_table() {
     KernelTable k;
     k.isa = Isa::Word64;
     k.many = &xor_many_word64;
-    k.many_nt = &xor_many_word64;  // no streaming stores without SIMD
     k.fixed[1] = &fixed_word64<1>;
     k.fixed[2] = &fixed_word64<2>;
     k.fixed[3] = &fixed_word64<3>;

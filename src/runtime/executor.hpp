@@ -1,7 +1,8 @@
 // The blocked SLP execution engine (§6.1): runs a compiled program over
 // strips in B-byte blocks so all the pebbles of one iteration stay
-// cache-resident, with optional thread-level parallelism over the strip
-// length. Two backends share the blocking loop:
+// cache-resident. One call runs on the calling thread; parallelism comes
+// from running whole stripes concurrently (BatchCoder / CodecService), each
+// caller on its own scratch. Two backends share the blocking loop:
 //   exec=interp   — walk the ExecProgram, resolving operands per instruction
 //                   per block through the variadic xor_many kernel;
 //   exec=lowered  — run the straight-line LoweredProgram of pre-resolved
@@ -22,39 +23,21 @@
 
 namespace xorec::runtime {
 
-/// Execution backend (spec key exec=). Plain Auto resolves to Lowered at
-/// Executor level (the measured interp-versus-lowered race lives in
-/// api/autotune); the interpreter survives as the reference semantics and
-/// for differential testing. The numeric values are baked into plan-cache
-/// fingerprints, so they never change.
-enum class ExecBackend : uint8_t { Interp = 0, Lowered = 1, Auto = 2 };
+/// Execution backend (spec key exec=). Lowered is the default; the
+/// interpreter survives as the reference semantics and for differential
+/// testing. The numeric values are baked into plan-cache fingerprints, so
+/// they never change.
+enum class ExecBackend : uint8_t { Interp = 0, Lowered = 1 };
 
 const char* exec_backend_name(ExecBackend b);
-/// "interp"/"lowered"/"auto" -> backend; nullopt for anything else.
+/// "interp"/"lowered" -> backend; nullopt for anything else.
 std::optional<ExecBackend> parse_exec_backend(const char* name);
-
-/// The XOREC_FORCE_EXEC override (mirror of kernel::forced_isa): when set to
-/// a parseable backend name, every Executor runs that backend regardless of
-/// its options. The environment is consulted once; the test hook replaces
-/// the resolved value.
-std::optional<ExecBackend> forced_exec_backend();
-void set_forced_exec_backend_for_testing(std::optional<ExecBackend> b);
 
 struct ExecOptions {
   size_t block_size = 2048;               // B of the blocking technique
   kernel::Isa isa = kernel::Isa::Auto;
-  size_t threads = 1;                      // 1 = run on the calling thread
   bool stagger_scratch = true;             // §7.4 anti-conflict layout
-  /// §8's software-prefetch direction: while executing block i, issue
-  /// prefetches for the *input* strips of block i+1 so loads overlap the
-  /// in-cache XOR work. 0 disables.
-  bool prefetch_next_block = false;
-  ExecBackend backend = ExecBackend::Auto;
-  /// Lowered backend only: blocks at least this large may use non-temporal
-  /// stores for output strips no later instruction re-reads. The default
-  /// keeps NT off for cache-blocked sizes (streaming past the cache only
-  /// pays once a block outgrows it).
-  size_t nt_threshold = 256 * 1024;
+  ExecBackend backend = ExecBackend::Lowered;
 };
 
 /// Executor scratch-freelist counters (see Executor::scratch_stats).
@@ -66,12 +49,10 @@ struct ScratchStats {
 };
 
 /// Owns the scratch pebble arenas for one compiled program at one block
-/// size; reusable across calls. run() is thread-safe: with threads == 1
-/// concurrent callers draw private scratch from a freelist (the BatchCoder
-/// stripe-parallel path), with threads > 1 concurrent calls serialize on
-/// the fork-join pool's per-worker arenas. The freelist is bounded by the
-/// high-water concurrency actually observed, so a burst of callers cannot
-/// permanently pin burst-many arenas.
+/// size; reusable across calls. run() is thread-safe: concurrent callers
+/// draw private scratch from a freelist (the BatchCoder stripe-parallel
+/// path). The freelist is bounded by the high-water concurrency actually
+/// observed, so a burst of callers cannot permanently pin burst-many arenas.
 class Executor {
  public:
   Executor(ExecProgram program, ExecOptions opt = {});
@@ -79,9 +60,10 @@ class Executor {
   const ExecProgram& program() const { return prog_; }
   const ExecOptions& options() const { return opt_; }
 
-  /// The backend/ISA this executor actually runs (after Auto resolution,
-  /// host capability degrade, and the XOREC_FORCE_ISA override).
-  ExecBackend backend() const { return backend_; }
+  /// The backend this executor runs, and the ISA it actually runs (after
+  /// Auto resolution, host capability degrade, and the XOREC_FORCE_ISA
+  /// override).
+  ExecBackend backend() const { return opt_.backend; }
   kernel::Isa isa() const { return isa_; }
   /// The lowered form, when backend() == Lowered (instruction-mix
   /// introspection for tests/benches).
@@ -95,7 +77,7 @@ class Executor {
   void run(const uint8_t* const* inputs, uint8_t* const* outputs, size_t strip_len) const;
 
  private:
-  /// One worker's private pebble storage (plus the lowered backend's slot
+  /// One caller's private pebble storage (plus the lowered backend's slot
   /// and argument tables, so run() never allocates).
   struct Scratch {
     StripArena arena;
@@ -108,18 +90,16 @@ class Executor {
     }
   };
 
-  void run_range(const uint8_t* const* inputs, uint8_t* const* outputs, size_t begin,
-                 size_t end, Scratch& scratch) const;
+  void run_blocks(const uint8_t* const* inputs, uint8_t* const* outputs, size_t strip_len,
+                  Scratch& scratch) const;
   std::unique_ptr<Scratch> acquire_scratch() const;
   void release_scratch(std::unique_ptr<Scratch> s) const;
 
   ExecProgram prog_;
   ExecOptions opt_;
   kernel::XorManyFn kernel_;
-  ExecBackend backend_ = ExecBackend::Interp;
   kernel::Isa isa_ = kernel::Isa::Scalar;
   std::unique_ptr<const LoweredProgram> lowered_;
-  std::vector<std::unique_ptr<Scratch>> worker_scratch_;  // threads > 1 path
   mutable std::mutex scratch_mu_;  // guards the freelist + counters below
   mutable std::vector<std::unique_ptr<Scratch>> free_scratch_;
   mutable size_t scratch_in_use_ = 0;

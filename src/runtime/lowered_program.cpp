@@ -19,59 +19,23 @@ uint32_t slot_of(const Operand& o, uint32_t num_inputs, uint32_t num_outputs) {
 }  // namespace
 
 LoweredProgram::LoweredProgram(const ExecProgram& prog, const kernel::KernelTable& kernels,
-                               size_t block_size, size_t nt_threshold)
+                               size_t block_size)
     : num_inputs_(prog.num_inputs),
       num_outputs_(prog.num_outputs),
       num_slots_(prog.num_inputs + prog.num_outputs + prog.num_scratch),
       isa_(kernels.isa) {
-  const bool nt_capable = kernels.many_nt && kernels.many_nt != kernels.many &&
-                          block_size >= nt_threshold;
   ops_.reserve(prog.ops.size());
 
-  // Per-op source slots, precomputed once so the dead-store scan below is a
-  // flat walk instead of re-deriving slots per candidate.
-  std::vector<std::vector<uint32_t>> src_slots(prog.ops.size());
-  for (size_t i = 0; i < prog.ops.size(); ++i) {
-    src_slots[i].reserve(prog.ops[i].srcs.size());
-    for (const Operand& s : prog.ops[i].srcs)
-      src_slots[i].push_back(slot_of(s, num_inputs_, num_outputs_));
-  }
-
-  for (size_t i = 0; i < prog.ops.size(); ++i) {
-    const ExecOp& op = prog.ops[i];
+  std::vector<uint32_t> srcs;
+  for (const ExecOp& op : prog.ops) {
     const uint32_t dst = slot_of(op.dst, num_inputs_, num_outputs_);
-    const std::vector<uint32_t>& srcs = src_slots[i];
+    srcs.clear();
+    for (const Operand& s : op.srcs) srcs.push_back(slot_of(s, num_inputs_, num_outputs_));
 
     if (srcs.size() == 1 && srcs[0] == dst) continue;  // self-copy: no-op
 
     const size_t self_refs =
         static_cast<size_t>(std::count(srcs.begin(), srcs.end(), dst));
-
-    // Dead-store detection: an output strip no later instruction reads is
-    // write-only for the rest of the block — at NT-capable block sizes it
-    // streams past the cache. Only the variadic kernel has a non-temporal
-    // form, and it forbids dst/src aliasing, hence self_refs == 0.
-    bool dead_store = false;
-    if (nt_capable && self_refs == 0 && dst >= num_inputs_ &&
-        dst < num_inputs_ + num_outputs_) {
-      dead_store = true;
-      for (size_t j = i + 1; j < prog.ops.size() && dead_store; ++j)
-        dead_store = std::find(src_slots[j].begin(), src_slots[j].end(), dst) ==
-                     src_slots[j].end();
-    }
-
-    if (dead_store) {
-      Op out;
-      out.dst = dst;
-      out.arg_base = static_cast<uint32_t>(arg_slots_.size());
-      arg_slots_.insert(arg_slots_.end(), srcs.begin(), srcs.end());
-      out.arity = static_cast<uint32_t>(srcs.size());
-      out.many = kernels.many_nt;
-      ++nt_ops_;
-      max_arity_ = std::max<size_t>(max_arity_, out.arity);
-      ops_.push_back(out);
-      continue;
-    }
 
     // `rest`: the sources with one self-reference removed — what the
     // accumulate forms take. For self_refs == 0 it is just `srcs`.
@@ -144,10 +108,8 @@ LoweredProgram::LoweredProgram(const ExecProgram& prog, const kernel::KernelTabl
   }
 }
 
-void LoweredProgram::run_range(State& st, const uint8_t* const* inputs,
-                               uint8_t* const* outputs, uint8_t* const* scratch,
-                               size_t begin, size_t end, size_t block_size,
-                               bool prefetch_next_block) const {
+void LoweredProgram::run(State& st, const uint8_t* const* inputs, uint8_t* const* outputs,
+                         uint8_t* const* scratch, size_t strip_len, size_t block_size) const {
   const size_t B = block_size;
   uint8_t** slots = st.slots.data();
   const uint8_t** args = st.args.data();
@@ -156,19 +118,12 @@ void LoweredProgram::run_range(State& st, const uint8_t* const* inputs,
 
   // Input slots are never written (ExecProgram rejects In destinations); the
   // const_cast only unifies the table type.
-  for (uint32_t i = 0; i < num_inputs_; ++i)
-    slots[i] = const_cast<uint8_t*>(inputs[i]) + begin;
-  for (uint32_t o = 0; o < num_outputs_; ++o) slots[num_inputs_ + o] = outputs[o] + begin;
+  for (uint32_t i = 0; i < num_inputs_; ++i) slots[i] = const_cast<uint8_t*>(inputs[i]);
+  for (uint32_t o = 0; o < num_outputs_; ++o) slots[num_inputs_ + o] = outputs[o];
   for (uint32_t s = n_moving; s < num_slots_; ++s) slots[s] = scratch[s - n_moving];
 
-  for (size_t off = begin; off < end; off += B) {
-    const size_t len = std::min(B, end - off);
-    if (prefetch_next_block && off + B < end) {
-      for (uint32_t i = 0; i < num_inputs_; ++i) {
-        const uint8_t* next = slots[i] + B;
-        for (size_t l = 0; l < len; l += 64) __builtin_prefetch(next + l, 0, 1);
-      }
-    }
+  for (size_t off = 0; off < strip_len; off += B) {
+    const size_t len = std::min(B, strip_len - off);
     for (const Op& op : ops_) {
       const uint32_t* as = arg_slots + op.arg_base;
       for (uint32_t j = 0; j < op.arity; ++j) args[j] = slots[as[j]];

@@ -25,11 +25,7 @@
 //     unrolled segments. The destination is re-read between segments, but at
 //     cache-blocked sizes it stays L1-resident, so the extra passes are
 //     nearly free; past kSegmentedBlockMax the one-pass variadic form wins
-//     and decomposition is skipped;
-//   - instructions whose destination is an output strip that no later
-//     instruction reads are *dead stores* for the rest of the block; when
-//     the block size is at or past ExecOptions::nt_threshold they use the
-//     non-temporal-store kernel so the final writes skip the cache.
+//     and decomposition is skipped.
 //
 // Lowering happens once, in the Executor constructor, and the Executor lives
 // inside the PlanCache's CompiledProgram — so hot plans pay it once per
@@ -49,8 +45,7 @@ class LoweredProgram {
  public:
   /// One pre-resolved call. `fn` set: fixed-arity or accumulate kernel over
   /// `arity` gathered argument pointers. `fn` null: variadic fallback
-  /// through `many` (generic wide/aliased instructions, or the non-temporal
-  /// variant for dead-store destinations).
+  /// through `many` (generic wide/aliased instructions).
   struct Op {
     kernel::XorFixedFn fn = nullptr;
     kernel::XorManyFn many = nullptr;
@@ -61,8 +56,8 @@ class LoweredProgram {
 
   /// Per-caller mutable state, sized for one program: the slot table and the
   /// per-instruction argument buffer (widest arity, reused by every call so
-  /// it stays cache-hot). Lives in the Executor's per-worker Scratch so
-  /// run_range() never allocates.
+  /// it stays cache-hot). Lives in the Executor's per-caller Scratch so
+  /// run() never allocates.
   struct State {
     std::vector<uint8_t*> slots;
     std::vector<const uint8_t*> args;
@@ -70,10 +65,10 @@ class LoweredProgram {
         : slots(lp.num_slots()), args(lp.max_arity()) {}
   };
 
-  /// Bind `prog` to one kernel family. `block_size`/`nt_threshold` decide
-  /// statically whether dead-store instructions may use non-temporal stores.
+  /// Bind `prog` to one kernel family. `block_size` decides statically
+  /// whether wide instructions are decomposed (see kSegmentedBlockMax).
   LoweredProgram(const ExecProgram& prog, const kernel::KernelTable& kernels,
-                 size_t block_size, size_t nt_threshold);
+                 size_t block_size);
 
   kernel::Isa isa() const { return isa_; }
   size_t num_slots() const { return num_slots_; }
@@ -83,7 +78,6 @@ class LoweredProgram {
   /// Instruction-mix counters (tests/benches introspection).
   size_t fixed_ops() const { return fixed_ops_; }
   size_t accum_ops() const { return accum_ops_; }
-  size_t nt_ops() const { return nt_ops_; }
   /// Source instructions split into fixed/accum segment chains.
   size_t segmented_ops() const { return segmented_ops_; }
 
@@ -92,12 +86,11 @@ class LoweredProgram {
   /// L1/L2-resident.
   static constexpr size_t kSegmentedBlockMax = 32 * 1024;
 
-  /// Execute strip bytes [begin, end) in `block_size`-byte blocks. Pointer
+  /// Execute strip bytes [0, strip_len) in `block_size`-byte blocks. Pointer
   /// counts must match the source ExecProgram; `scratch` buffers must hold
-  /// at least min(block_size, end - begin) bytes each.
-  void run_range(State& st, const uint8_t* const* inputs, uint8_t* const* outputs,
-                 uint8_t* const* scratch, size_t begin, size_t end, size_t block_size,
-                 bool prefetch_next_block) const;
+  /// at least min(block_size, strip_len) bytes each.
+  void run(State& st, const uint8_t* const* inputs, uint8_t* const* outputs,
+           uint8_t* const* scratch, size_t strip_len, size_t block_size) const;
 
  private:
   std::vector<Op> ops_;
@@ -109,7 +102,6 @@ class LoweredProgram {
   kernel::Isa isa_ = kernel::Isa::Scalar;
   size_t fixed_ops_ = 0;
   size_t accum_ops_ = 0;
-  size_t nt_ops_ = 0;
   size_t segmented_ops_ = 0;
 };
 

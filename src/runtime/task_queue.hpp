@@ -1,6 +1,6 @@
-// FIFO task queue over dedicated worker threads: the stripe-level
-// parallelism complement to ThreadPool's fork-join strip splitting (§8
-// parallelizes *within* one coding call; this parallelizes *across* calls).
+// FIFO task queue over dedicated worker threads: the library's one
+// parallel path. A single coding call runs on one thread; this queue
+// parallelizes *across* calls, one whole stripe per task.
 //
 // api/batch.hpp's BatchCoder sessions submit whole encode/reconstruct jobs
 // here and hand futures back to the caller; wait_idle() is the flush

@@ -198,7 +198,7 @@ TEST(conformance, NewFamilySpecsNormalizeAndRoundTrip) {
   EXPECT_EQ(canonical_spec("piggyback(10,3)"), "piggyback(10,3,2)");
   EXPECT_EQ(canonical_spec("piggyback(6,3,2)@block=2048"), "piggyback(6,3,2)");
   EXPECT_EQ(canonical_spec("sparse(8,3,30)"), "sparse(8,3,30,1)");
-  EXPECT_EQ(canonical_spec("sparse(6,3,90,1)@threads=1"), "sparse(6,3,90,1)");
+  EXPECT_EQ(canonical_spec("sparse(6,3,90,1)@exec=lowered"), "sparse(6,3,90,1)");
 
   for (const char* spec : {"piggyback(6,3,2)", "sparse(6,3,90,1)"}) {
     const auto codec = make_codec(spec);

@@ -101,7 +101,7 @@ INSTANTIATE_TEST_SUITE_P(Specs, RegistryRoundTrip,
                                            "rdp(8)", "star(9)", "naive_xor(8)",
                                            "isal(10,4)", "rs16(6,3)",
                                            "rs(6,3)@block=512,isa=word64,passes=fuse",
-                                           "rs(5,2)@threads=2,sched=greedy",
+                                           "rs(5,2)@block=1024,sched=greedy",
                                            "rs(10,4)@sched=multilevel,levels=32:512",
                                            "rs(6,3)@sched=multilevel",
                                            "rs(6,3)@sched=greedy,cap=16",
@@ -195,7 +195,7 @@ TEST(Registry, UnknownFamilyAndBadArityThrow) {
   EXPECT_THROW(make_codec("evenodd(0)"), std::invalid_argument);
   // isal has no SLP pipeline/executor: execution options must not silently
   // parse into nothing.
-  EXPECT_THROW(make_codec("isal(10,4)@threads=8"), std::invalid_argument);
+  EXPECT_THROW(make_codec("isal(10,4)@isa=avx2"), std::invalid_argument);
   EXPECT_THROW(make_codec("isal(10,4)@block=1024"), std::invalid_argument);
   EXPECT_NO_THROW(make_codec("isal(10,4)@matrix=cauchy"));
   // Registry geometry caps: fail fast instead of compiling astronomically
@@ -511,4 +511,18 @@ TEST(Registry, BlockAutoResolvesToAMeasuredByteCount) {
   // share one service pool.
   EXPECT_EQ(canonical_spec("rs(6,3)@block=auto"),
             canonical_spec("rs(6,3)@block=" + std::to_string(measured)));
+}
+
+TEST(Autotune, MarginComparesAgainstTheIncumbentsOwnTime) {
+  // Block times for 512..8192: each step is under 5% faster than the last,
+  // but 8192 is 14% faster than 1024. A rule that lowers the bar on every
+  // near-miss keeps 512 here, which is 16% slower than 8192.
+  EXPECT_EQ(pick_with_margin({10, 9.6, 9.2, 8.8, 8.6}, 0.05), 4u);
+  // The worker-count sweep's 10% margin, same shape.
+  EXPECT_EQ(pick_with_margin({10, 9.5, 9.0, 8.5}, 0.10), 3u);
+  // Near-misses alone never displace the first candidate.
+  EXPECT_EQ(pick_with_margin({10, 9.6, 9.7}, 0.05), 0u);
+  EXPECT_EQ(pick_with_margin({10}, 0.05), 0u);
+  // A clear win is kept even when later candidates are slower.
+  EXPECT_EQ(pick_with_margin({10, 8, 9, 12}, 0.05), 1u);
 }

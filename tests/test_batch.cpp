@@ -1,20 +1,16 @@
-// BatchCoder sessions, the runtime::TaskQueue underneath them, and the
-// deterministic ThreadPool::shared grow-only semantics. The headline test
-// round-trips 64+ mixed encode/reconstruct jobs concurrently (the batch
-// acceptance bar) and byte-verifies every stripe.
+// BatchCoder sessions and the runtime::TaskQueue underneath them. The
+// headline test round-trips 64+ mixed encode/reconstruct jobs concurrently
+// (the batch acceptance bar) and byte-verifies every stripe.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
 #include <random>
-#include <set>
 #include <thread>
 
 #include "api/xorec.hpp"
 #include "ec/object_codec.hpp"
 #include "runtime/task_queue.hpp"
-#include "runtime/thread_pool.hpp"
 
 using namespace xorec;
 
@@ -55,62 +51,6 @@ TEST(TaskQueue, ZeroThreadsClampsToOne) {
   EXPECT_EQ(q.threads(), 1u);
   auto f = q.submit([] {});
   EXPECT_NO_THROW(f.get());
-}
-
-// ---- ThreadPool shared semantics -------------------------------------------
-
-TEST(ThreadPool, SharedGrowsMonotonicallyAndIsOneInstance) {
-  runtime::ThreadPool& a = runtime::ThreadPool::shared(2);
-  EXPECT_GE(a.size(), 2u);
-  runtime::ThreadPool& b = runtime::ThreadPool::shared(4);
-  EXPECT_EQ(&a, &b);  // one process-wide pool, not one per size
-  EXPECT_GE(b.size(), 4u);
-  const size_t grown = b.size();
-  runtime::ThreadPool& c = runtime::ThreadPool::shared(1);
-  EXPECT_EQ(&a, &c);
-  EXPECT_EQ(c.size(), grown);  // smaller requests never shrink it
-}
-
-TEST(ThreadPool, ResizeGrowsAndCoversNewIndices) {
-  runtime::ThreadPool pool(2);
-  ASSERT_EQ(pool.size(), 2u);
-
-  std::mutex mu;
-  std::set<size_t> seen;
-  const auto collect = [&](size_t w) {
-    std::lock_guard lk(mu);
-    seen.insert(w);
-  };
-  pool.run_on_all(collect);
-  EXPECT_EQ(seen, (std::set<size_t>{0, 1}));
-
-  pool.resize(4);
-  EXPECT_EQ(pool.size(), 4u);
-  seen.clear();
-  pool.run_on_all(collect);
-  EXPECT_EQ(seen, (std::set<size_t>{0, 1, 2, 3}));
-
-  pool.resize(1);  // grow-only: a no-op
-  EXPECT_EQ(pool.size(), 4u);
-}
-
-TEST(ThreadPool, ConcurrentRunOnAllCallsSerialize) {
-  runtime::ThreadPool pool(3);
-  std::atomic<int> inside{0};
-  std::atomic<bool> overlapped{false};
-  std::atomic<int> total{0};
-  const auto job = [&](size_t) {
-    if (inside.fetch_add(1) >= static_cast<int>(pool.size())) overlapped = true;
-    ++total;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    --inside;
-  };
-  std::thread t1([&] { for (int i = 0; i < 5; ++i) pool.run_on_all(job); });
-  std::thread t2([&] { for (int i = 0; i < 5; ++i) pool.run_on_all(job); });
-  t1.join();
-  t2.join();
-  EXPECT_FALSE(overlapped.load());  // never two fork-join jobs interleaved
-  EXPECT_EQ(total.load(), 10 * static_cast<int>(pool.size()));
 }
 
 // ---- BatchCoder ------------------------------------------------------------

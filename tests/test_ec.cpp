@@ -235,10 +235,3 @@ TEST(RsCodec, ChooseSurvivorsPrefersDataRows) {
   EXPECT_EQ(s2, (std::vector<uint32_t>{1, 2, 3, 4, 5, 6}));
 }
 
-TEST(RsCodec, MultiThreadedEncodeMatchesSingle) {
-  ec::CodecOptions st, mt;
-  mt.exec.threads = 4;
-  ec::RsCodec a(10, 4, st), b(10, 4, mt);
-  Cluster ca(a, 8000, 11), cb(b, 8000, 11);
-  EXPECT_EQ(ca.frags, cb.frags);
-}

@@ -136,46 +136,11 @@ TEST(ExecBackendDifferential, OtherFamiliesBestIsaBothBackends) {
   }
 }
 
-TEST(ExecBackendDifferential, NtStoresByteIdentical) {
-  // Force the non-temporal path: nt_threshold <= block so every dead-store
-  // output streams. The spec grammar deliberately has no nt= knob (it is a
-  // tuning constant), so build through the registry-parallel ExecOptions.
-  const auto ref = make_codec("rs(6,3)@isa=scalar,exec=interp");
-  const size_t frag_len = ref->fragment_multiple() * kLongStrip;
-  const Stripe ref_st = encoded_stripe(*ref, frag_len, /*seed=*/4);
-
-  ec::CodecOptions opt;
-  opt.exec.backend = runtime::ExecBackend::Lowered;
-  opt.exec.nt_threshold = 1;  // every block qualifies
-  const ec::RsCodec codec(6, 3, opt);
-  const Stripe st = encoded_stripe(codec, frag_len, /*seed=*/4);
-  for (size_t f = 0; f < ref->total_fragments(); ++f)
-    ASSERT_EQ(st.frags[f], ref_st.frags[f]) << "NT encode mismatch, fragment " << f;
-
-  const std::vector<uint32_t> available{0, 1, 2, 6, 7, 8};
-  const std::vector<uint32_t> erased{3, 4, 5};
-  std::vector<const uint8_t*> in;
-  for (uint32_t id : available) in.push_back(st.frags[id].data());
-  std::vector<std::vector<uint8_t>> rebuilt(erased.size());
-  std::vector<uint8_t*> out;
-  for (auto& b : rebuilt) {
-    b.assign(frag_len, 0xCD);
-    out.push_back(b.data());
-  }
-  codec.plan_reconstruct(available, erased)->execute(in.data(), out.data(), frag_len);
-  for (size_t e = 0; e < erased.size(); ++e)
-    ASSERT_EQ(rebuilt[e], st.frags[erased[e]]) << "NT fragment " << erased[e];
-}
-
 TEST(ExecBackendGrammar, SpecKeysRoundTrip) {
   // Canonical form keeps the backend token that differs from the default:
-  // exec=interp survives, exec=lowered is the default and drops, and
-  // exec=auto resolves BY MEASUREMENT to one concrete backend.
+  // exec=interp survives, exec=lowered is the default and drops.
   EXPECT_EQ(canonical_spec("rs(6,3)@exec=interp"), "rs(6,3)@exec=interp");
   EXPECT_EQ(canonical_spec("rs(6,3)@exec=lowered"), "rs(6,3)");
-  const std::string resolved = canonical_spec("rs(6,3)@exec=auto");
-  EXPECT_TRUE(resolved == "rs(6,3)" || resolved == "rs(6,3)@exec=interp")
-      << "exec=auto resolved to " << resolved;
   EXPECT_EQ(canonical_spec("rs(6,3)@isa=avx512"), "rs(6,3)@isa=avx512");
   EXPECT_EQ(canonical_spec("rs(6,3)@isa=neon,exec=interp"), "rs(6,3)@isa=neon,exec=interp");
   EXPECT_THROW(make_codec("rs(6,3)@exec=bogus"), std::invalid_argument);
@@ -183,8 +148,6 @@ TEST(ExecBackendGrammar, SpecKeysRoundTrip) {
 }
 
 TEST(ExecBackendGrammar, ExecInfoReportsResolvedBackend) {
-  if (runtime::forced_exec_backend())
-    GTEST_SKIP() << "XOREC_FORCE_EXEC clamps every resolution";
   const auto lowered = make_codec("rs(6,3)");
   EXPECT_EQ(lowered->exec_info().backend, "lowered");
   EXPECT_FALSE(lowered->exec_info().isa.empty());
@@ -204,49 +167,61 @@ TEST(ExecBackendGrammar, ExecInfoReportsResolvedBackend) {
 
 TEST(ExecBackendGrammar, FingerprintSeparatesBackends) {
   const slp::PipelineOptions pl;
-  runtime::ExecOptions interp, lowered, auto_b;
+  runtime::ExecOptions interp, lowered;
   interp.backend = runtime::ExecBackend::Interp;
   lowered.backend = runtime::ExecBackend::Lowered;
-  auto_b.backend = runtime::ExecBackend::Auto;
-  // interp and lowered must never collide in the shared plan cache; auto
-  // resolves to lowered and shares its entries.
+  // interp and lowered must never collide in the shared plan cache.
   EXPECT_NE(ec::PlanCache::fingerprint_config(pl, interp),
-            ec::PlanCache::fingerprint_config(pl, lowered));
-  EXPECT_EQ(ec::PlanCache::fingerprint_config(pl, auto_b),
-            ec::PlanCache::fingerprint_config(pl, lowered));
-
-  runtime::ExecOptions nt = lowered;
-  nt.nt_threshold = 64;  // different lowered instruction stream
-  EXPECT_NE(ec::PlanCache::fingerprint_config(pl, nt),
             ec::PlanCache::fingerprint_config(pl, lowered));
 }
 
 // The exec= name of the removed runtime-compiled backend.
 constexpr char kRemovedBackend[] = "jit";
 
-TEST(ExecBackendGrammar, RemovedBackendIsASpecError) {
-  // A bad exec= value like any other: the error names the accepted values,
-  // and XOREC_FORCE_EXEC (same parser) treats it as an unknown name.
-  EXPECT_EQ(runtime::parse_exec_backend(kRemovedBackend), std::nullopt);
-  const std::string spec = std::string("rs(6,3)@exec=") + kRemovedBackend;
+/// parse_spec(spec) must throw std::invalid_argument whose message contains
+/// `expected`.
+void expect_spec_error(const std::string& spec, const std::string& expected) {
   try {
     (void)parse_spec(spec);
-    FAIL() << spec << " parsed";
+    ADD_FAILURE() << spec << " parsed";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("interp|lowered|auto"), std::string::npos)
-        << e.what();
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos) << e.what();
   }
 }
 
+TEST(ExecBackendGrammar, RemovedBackendIsASpecError) {
+  // A bad exec= value like any other: the error names the accepted values.
+  EXPECT_EQ(runtime::parse_exec_backend(kRemovedBackend), std::nullopt);
+  expect_spec_error(std::string("rs(6,3)@exec=") + kRemovedBackend, "interp|lowered");
+}
+
+TEST(ExecBackendGrammar, RemovedExecutorKnobsAreSpecErrors) {
+  // The deleted executor knobs fail loudly instead of being ignored: exec=auto
+  // is a bad exec= value, threads= and prefetch= are unknown keys whose error
+  // lists the valid ones.
+  expect_spec_error("rs(6,3)@exec=auto", "exec must be interp|lowered, got \"auto\"");
+  std::string valid;
+  for (const std::string& k : spec_option_keys()) valid += (valid.empty() ? "" : ", ") + k;
+  for (const char* spec : {"rs(6,3)@threads=2", "rs(6,3)@prefetch=1"}) {
+    expect_spec_error(spec, "unknown option");
+    expect_spec_error(spec, "(valid: " + valid + ")");
+    EXPECT_THROW(make_codec(spec), std::invalid_argument) << spec;
+  }
+  EXPECT_EQ(spec_option_keys().size(), 11u);
+}
+
 TEST(ExecBackendGrammar, ProfileNamingRemovedBackendIsSkippedAsOptionDrift) {
-  // A profile saved while the removed backend existed still loads: its codec
-  // record no longer parses, so warmup skips it like any other stale option
-  // and the rest of the profile replays — the path is not poisoned.
+  // A profile saved while the removed backend (or the removed threads= key)
+  // existed still loads: those codec records no longer parse, so warmup
+  // skips them like any other stale option and the rest of the profile
+  // replays — the path is not poisoned.
   const std::string path = ::testing::TempDir() + "xorec_exec_removed_backend.profile";
   {
     std::ofstream out(path, std::ios::trunc);
     out << "xorec-plan-profile v1\n"
         << "codec rs(6,3)@exec=" << kRemovedBackend << " fp 1 2 3\n"
+        << "pattern 0 | 1 2 3 4 5 6\n"
+        << "codec rs(6,3)@threads=2 fp 1 2 3\n"
         << "pattern 0 | 1 2 3 4 5 6\n"
         << "codec rs(6,3) fp 1 2 3\n"
         << "pattern 0 | 1 2 3 4 5 6\n";
@@ -261,7 +236,7 @@ TEST(ExecBackendGrammar, ProfileNamingRemovedBackendIsSkippedAsOptionDrift) {
     CodecService service(isolated());
     const CodecService::WarmupReport report = service.warmup(path);
     EXPECT_EQ(report.codecs, 1u);
-    EXPECT_EQ(report.skipped, 1u);
+    EXPECT_EQ(report.skipped, 2u);
   }
   CodecService service(isolated());
   ServiceHandle h = service.acquire("rs(6,3)@warmup=" + path);

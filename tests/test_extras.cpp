@@ -1,6 +1,5 @@
 // Remaining extension surfaces: Graphviz export, the "good" Cauchy matrix,
-// executor software prefetch, and the LRU inclusion property backing every
-// cache argument in §6.
+// and the LRU inclusion property backing every cache argument in §6.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -53,29 +52,6 @@ TEST(CauchyGood, SystematicTopPreserved) {
   const gf::Matrix m = gf::rs_cauchy_good_matrix(6, 2);
   for (size_t i = 0; i < 6; ++i)
     for (size_t j = 0; j < 6; ++j) EXPECT_EQ(m.at(i, j), i == j ? 1 : 0);
-}
-
-TEST(Prefetch, EncodeBytesUnchanged) {
-  // Prefetching is purely a performance hint; outputs must be identical.
-  const size_t n = 10, p = 4, frag_len = 1 << 16;
-  ec::CodecOptions plain, pf;
-  pf.exec.prefetch_next_block = true;
-  ec::RsCodec a(n, p, plain), b(n, p, pf);
-
-  std::mt19937_64 rng(3);
-  std::vector<std::vector<uint8_t>> data(n, std::vector<uint8_t>(frag_len));
-  for (auto& f : data)
-    for (auto& x : f) x = static_cast<uint8_t>(rng());
-  std::vector<const uint8_t*> dptr;
-  for (const auto& f : data) dptr.push_back(f.data());
-  std::vector<std::vector<uint8_t>> pa(p, std::vector<uint8_t>(frag_len)),
-      pb(p, std::vector<uint8_t>(frag_len));
-  std::vector<uint8_t*> pap, pbp;
-  for (auto& f : pa) pap.push_back(f.data());
-  for (auto& f : pb) pbp.push_back(f.data());
-  a.encode(dptr.data(), pap.data(), frag_len);
-  b.encode(dptr.data(), pbp.data(), frag_len);
-  EXPECT_EQ(pa, pb);
 }
 
 TEST(LruInclusion, CacheContentsNestAcrossCapacities) {

@@ -1,11 +1,7 @@
-// Pipeline driver, IOcost at hardware parameters (§6.2's "optimize
-// IOcost(P, 512)" remark), and thread-pool error handling.
+// Pipeline driver and IOcost at hardware parameters (§6.2's "optimize
+// IOcost(P, 512)" remark).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
-
-#include "runtime/thread_pool.hpp"
 #include "slp/cache_model.hpp"
 #include "slp/pipeline.hpp"
 #include "slp/semantics.hpp"
@@ -85,40 +81,6 @@ TEST(IoCostHardwareScale, SchedulingHelpsAt512Blocks) {
   }
   // At 512 both are pure cold misses: exactly the 80 input strips.
   EXPECT_EQ(io_cost(*r.scheduled, 512, ExecForm::Fused), 80u);
-}
-
-TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
-  runtime::ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::vector<std::atomic<int>> hits(4);
-  pool.run_on_all([&](size_t w) { ++hits[w]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  // Reusable across invocations.
-  pool.run_on_all([&](size_t w) { ++hits[w]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 2);
-}
-
-TEST(ThreadPool, PropagatesWorkerExceptions) {
-  runtime::ThreadPool pool(3);
-  EXPECT_THROW(pool.run_on_all([](size_t w) {
-                 if (w == 1) throw std::runtime_error("boom");
-               }),
-               std::runtime_error);
-  // Pool remains usable after an exception.
-  std::atomic<int> ok{0};
-  pool.run_on_all([&](size_t) { ++ok; });
-  EXPECT_EQ(ok.load(), 3);
-}
-
-TEST(ThreadPool, SingleThreadRunsInline) {
-  runtime::ThreadPool pool(1);
-  const auto caller = std::this_thread::get_id();
-  std::thread::id seen;
-  pool.run_on_all([&](size_t w) {
-    EXPECT_EQ(w, 0u);
-    seen = std::this_thread::get_id();
-  });
-  EXPECT_EQ(seen, caller);
 }
 
 // ---- multilevel scheduling through the pipeline ----------------------------

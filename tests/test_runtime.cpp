@@ -1,9 +1,8 @@
 // The blocked executor: compiled programs over real byte strips must match
-// the set-semantics oracle for every pipeline stage, block size, ISA, thread
-// count and stagger setting; plus arena layout checks.
+// the set-semantics oracle for every pipeline stage, block size, ISA,
+// concurrent-caller count and stagger setting; plus arena layout checks.
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <random>
 #include <thread>
 
@@ -41,18 +40,28 @@ std::vector<std::vector<uint8_t>> oracle_outputs(const slp::Program& p,
   return out;
 }
 
+/// Runs `p` through one Executor from `callers` threads at once, each into
+/// its own outputs (the stripe-parallel path: every caller draws private
+/// scratch from the freelist), and checks every caller against the oracle.
 void run_and_check(const slp::Program& p, const runtime::ExecOptions& opt, size_t len,
-                   uint32_t seed) {
+                   uint32_t seed, size_t callers = 1) {
   const auto in = random_strips(p.num_consts, len, seed);
   std::vector<const uint8_t*> in_ptrs;
   for (const auto& s : in) in_ptrs.push_back(s.data());
-  std::vector<std::vector<uint8_t>> out(p.outputs.size(), std::vector<uint8_t>(len, 0xAB));
-  std::vector<uint8_t*> out_ptrs;
-  for (auto& s : out) out_ptrs.push_back(s.data());
+  using Strips = std::vector<std::vector<uint8_t>>;
+  std::vector<Strips> out(callers, Strips(p.outputs.size(), std::vector<uint8_t>(len, 0xAB)));
 
   runtime::Executor exec(runtime::compile(p), opt);
-  exec.run(in_ptrs.data(), out_ptrs.data(), len);
-  EXPECT_EQ(out, oracle_outputs(p, in, len));
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < callers; ++c)
+    threads.emplace_back([&, c] {
+      std::vector<uint8_t*> out_ptrs;
+      for (auto& s : out[c]) out_ptrs.push_back(s.data());
+      exec.run(in_ptrs.data(), out_ptrs.data(), len);
+    });
+  for (auto& t : threads) t.join();
+  const Strips expected = oracle_outputs(p, in, len);
+  for (size_t c = 0; c < callers; ++c) EXPECT_EQ(out[c], expected) << "caller " << c;
 }
 
 }  // namespace
@@ -85,25 +94,25 @@ TEST(Executor, PebbleProgramInPlaceUpdates) {
 
 class ExecutorSweep
     : public ::testing::TestWithParam<std::tuple<size_t /*block*/, kernel::Isa,
-                                                 size_t /*threads*/, bool /*stagger*/>> {};
+                                                 size_t /*callers*/, bool /*stagger*/>> {};
 
 TEST_P(ExecutorSweep, FullPipelineMatchesOracle) {
-  const auto [block, isa, threads, stagger] = GetParam();
+  const auto [block, isa, callers, stagger] = GetParam();
   const slp::Program base = random_flat(40, 16, 99);
   const slp::Program sched = slp::schedule_dfs(slp::fuse(slp::xor_repair_compress(base)));
   for (auto backend : {runtime::ExecBackend::Interp, runtime::ExecBackend::Lowered}) {
     runtime::ExecOptions opt;
     opt.block_size = block;
     opt.isa = isa;
-    opt.threads = threads;
     opt.stagger_scratch = stagger;
     opt.backend = backend;
-    run_and_check(sched, opt, 10240, 7);
-    run_and_check(sched, opt, 10000, 8);  // ragged tail (not a block multiple)
-    run_and_check(sched, opt, 100, 9);    // shorter than one block
+    run_and_check(sched, opt, 10240, 7, callers);
+    run_and_check(sched, opt, 10000, 8, callers);  // ragged tail (not a block multiple)
+    run_and_check(sched, opt, 100, 9, callers);    // shorter than one block
   }
 }
 
+// "_tN": N caller threads running the one executor at once.
 std::string executor_sweep_name(
     const ::testing::TestParamInfo<std::tuple<size_t, kernel::Isa, size_t, bool>>& info) {
   return "B" + std::to_string(std::get<0>(info.param)) + "_" +
@@ -175,23 +184,11 @@ TEST(StripArena, StripsDoNotOverlap) {
 
 // ---- lowered backend -------------------------------------------------------
 
-/// The LoweredProgram tests assert backend-resolution internals (which
-/// backend an ExecOptions request lands on, lowered-program op mixes). A
-/// process-wide override such as XOREC_FORCE_EXEC=interp clamps every
-/// Executor to another backend and would fail them for the wrong reason, so
-/// neutralize the override for the test's scope and restore it.
-struct NeutralizeExecForce {
-  std::optional<runtime::ExecBackend> saved = runtime::forced_exec_backend();
-  NeutralizeExecForce() { runtime::set_forced_exec_backend_for_testing(std::nullopt); }
-  ~NeutralizeExecForce() { runtime::set_forced_exec_backend_for_testing(saved); }
-};
-
 TEST(LoweredProgram, ResolvesBackendAndIsa) {
-  NeutralizeExecForce neutral;
-  runtime::Executor auto_exec(runtime::compile(make_peg()), {});
-  EXPECT_EQ(auto_exec.backend(), runtime::ExecBackend::Lowered);
-  EXPECT_NE(auto_exec.lowered(), nullptr);
-  EXPECT_NE(auto_exec.isa(), kernel::Isa::Auto);  // resolved to a real family
+  runtime::Executor def(runtime::compile(make_peg()), {});
+  EXPECT_EQ(def.backend(), runtime::ExecBackend::Lowered);
+  EXPECT_NE(def.lowered(), nullptr);
+  EXPECT_NE(def.isa(), kernel::Isa::Auto);  // resolved to a real family
 
   runtime::Executor interp(runtime::compile(make_peg()),
                            {.backend = runtime::ExecBackend::Interp});
@@ -203,52 +200,22 @@ TEST(LoweredProgram, FixedArityBindingAndOracle) {
   // A fused program's instructions all land on fixed-arity or accumulate
   // kernels (arity <= 8 after fusion of a small code) — the variadic
   // fallback should be the exception, not the rule.
-  NeutralizeExecForce neutral;
   const slp::Program base = random_flat(24, 8, 42);
   const slp::Program fu = slp::fuse(slp::xor_repair_compress(base));
   runtime::Executor exec(runtime::compile(fu), {.block_size = 512});
   ASSERT_NE(exec.lowered(), nullptr);
   const auto& lp = *exec.lowered();
   EXPECT_GT(lp.fixed_ops() + lp.accum_ops(), 0u);
-  EXPECT_LE(lp.fixed_ops() + lp.accum_ops() + lp.nt_ops(), lp.ops().size());
+  EXPECT_LE(lp.fixed_ops() + lp.accum_ops(), lp.ops().size());
   run_and_check(fu, {.block_size = 512}, 10000, 11);
 }
 
 TEST(LoweredProgram, InPlacePebbleAccumulatesViaFusedKernels) {
   // P_reg updates registers in place (dst appears in its own sources); the
   // lowering must fold those into accumulate kernels and stay correct.
-  NeutralizeExecForce neutral;
   runtime::Executor exec(runtime::compile(make_preg()), {.block_size = 256});
   ASSERT_NE(exec.lowered(), nullptr);
   run_and_check(make_preg(), {.block_size = 256}, 4096, 12);
-}
-
-TEST(LoweredProgram, NtThresholdGatesStreamingStores) {
-  NeutralizeExecForce neutral;
-  const slp::Program base = random_flat(24, 8, 77);
-  const auto prog = runtime::compile(slp::fuse(slp::xor_repair_compress(base)));
-
-  runtime::ExecOptions small;  // default nt_threshold >> block: no NT ops
-  small.block_size = 2048;
-  runtime::Executor cold(prog, small);
-  ASSERT_NE(cold.lowered(), nullptr);
-  EXPECT_EQ(cold.lowered()->nt_ops(), 0u);
-
-  runtime::ExecOptions big;
-  big.block_size = 1 << 20;
-  big.nt_threshold = 1 << 20;
-  runtime::Executor hot(prog, big);
-  ASSERT_NE(hot.lowered(), nullptr);
-  if (kernel::kernel_table(kernel::Isa::Auto).isa == kernel::Isa::Avx2 ||
-      kernel::kernel_table(kernel::Isa::Auto).isa == kernel::Isa::Avx512) {
-    // Every final output write with no later reader streams.
-    EXPECT_GT(hot.lowered()->nt_ops(), 0u);
-  }
-  // Still byte-identical at a length spanning several huge blocks plus tail.
-  runtime::ExecOptions run_opt = big;
-  run_opt.block_size = 1 << 16;
-  run_opt.nt_threshold = 1 << 16;
-  run_and_check(slp::fuse(slp::xor_repair_compress(base)), run_opt, (1 << 17) + 333, 13);
 }
 
 TEST(Executor, ScratchFreelistStaysBounded) {

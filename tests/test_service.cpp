@@ -84,10 +84,10 @@ void roundtrip(const ServiceHandle& handle, const std::vector<uint32_t>& erased,
 
 TEST(CanonicalSpec, NormalizesSpellings) {
   // Key reordering and whitespace collapse to one spelling.
-  EXPECT_EQ(canonical_spec("rs(6,3)@threads=2,block=1024"),
-            canonical_spec("rs(6, 3) @ block = 1024, threads = 2"));
+  EXPECT_EQ(canonical_spec("rs(6,3)@sched=greedy,block=1024"),
+            canonical_spec("rs(6, 3) @ block = 1024, sched = greedy"));
   // Options at their defaults are dropped.
-  EXPECT_EQ(canonical_spec("rs(10,4)@block=2048,threads=1"), "rs(10,4)");
+  EXPECT_EQ(canonical_spec("rs(10,4)@block=2048,exec=lowered"), "rs(10,4)");
   // Default-able positional args are filled in.
   EXPECT_EQ(canonical_spec("rs(10)"), "rs(10,4)");
   EXPECT_EQ(canonical_spec("evenodd(6)"), "evenodd(6,2)");
@@ -105,12 +105,12 @@ TEST(CanonicalSpec, NormalizesSpellings) {
   EXPECT_EQ(canonical_spec("rs(8,2)@passes=base"), "rs(8,2)@passes=base");
   EXPECT_EQ(canonical_spec("rs(8,2)@cache=private"), "rs(8,2)@cache=private");
   EXPECT_EQ(canonical_spec("rs(8,2)@cache=64"), "rs(8,2)@cache=64");
-  EXPECT_EQ(canonical_spec("rs(8,2)@prefetch=1"), "rs(8,2)@prefetch=1");
+  EXPECT_EQ(canonical_spec("rs(8,2)@exec=interp"), "rs(8,2)@exec=interp");
 }
 
 TEST(CanonicalSpec, IsIdempotent) {
   for (const char* spec :
-       {"rs(10,4)", "rs(6,3)@block=1024,threads=2", "cauchy(9,3)",
+       {"rs(10,4)", "rs(6,3)@block=1024,sched=greedy", "cauchy(9,3)",
         "rs(8,2)@sched=multilevel,cap=4,levels=4:64", "rs(8,2)@passes=base",
         "lrc(6,2,2)", "rdp(4)", "isal(8,2)"}) {
     const std::string canon = canonical_spec(spec);
@@ -122,14 +122,14 @@ TEST(CanonicalSpec, IsIdempotent) {
 
 TEST(CodecService, EquivalentSpecsShareOnePool) {
   CodecService service(isolated());
-  const auto a = service.acquire("rs(6,3)@block=1024,threads=2");
-  const auto b = service.acquire("rs(6, 3) @ threads=2, block=1024");
-  const auto c = service.acquire("rs(6,3)@block=1024,threads=2,prefetch=0");
+  const auto a = service.acquire("rs(6,3)@block=1024,sched=greedy");
+  const auto b = service.acquire("rs(6, 3) @ sched=greedy, block=1024");
+  const auto c = service.acquire("rs(6,3)@block=1024,sched=greedy,exec=lowered");
   EXPECT_EQ(&a.codec(), &b.codec());
   EXPECT_EQ(&a.codec(), &c.codec());
-  EXPECT_EQ(a.spec(), "rs(6,3)@block=1024,threads=2");
+  EXPECT_EQ(a.spec(), "rs(6,3)@block=1024,sched=greedy");
 
-  const auto d = service.acquire("rs(6,3)@block=512,threads=2");  // different codec
+  const auto d = service.acquire("rs(6,3)@block=512,sched=greedy");  // different codec
   EXPECT_NE(&a.codec(), &d.codec());
 
   const ServiceStats stats = service.stats();
