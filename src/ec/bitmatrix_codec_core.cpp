@@ -193,6 +193,10 @@ BitmatrixCodecCore::BitmatrixCodecCore(size_t data_blocks, size_t parity_blocks,
       opt_.pipeline.cache_levels.empty())
     opt_.pipeline.cache_levels =
         slp::effective_cache_levels(opt_.pipeline, opt_.exec.block_size);
+  // Likewise pin the ISA the executors will actually run (host degrade and
+  // the XOREC_FORCE_ISA clamp applied): keyed on the requested name, a codec
+  // built under one override could be handed programs bound to another ISA.
+  opt_.exec.isa = kernel::kernel_table(opt_.exec.isa).isa;
   config_fp_ = PlanCache::fingerprint_config(opt_.pipeline, opt_.exec) ^ strategy_salt;
   std::tie(matrix_fp_, matrix_fp2_) = PlanCache::fingerprint_matrix(parity, k_, m_, w_);
   // Private caches are single-shard so cache=N keeps exact LRU capacity
@@ -257,8 +261,11 @@ bool BitmatrixCodecCore::pattern_ids(const std::vector<uint32_t>& pattern,
 
 void BitmatrixCodecCore::encode(const uint8_t* const* data, uint8_t* const* parity,
                                 size_t frag_len) const {
-  const auto in = strip_pointers(data, k_, w_, frag_len);
-  const auto out = strip_pointers(parity, m_, w_, frag_len);
+  // Per-thread pointer tables, reused across calls: allocation-free once warm.
+  thread_local std::vector<const uint8_t*> in;
+  thread_local std::vector<uint8_t*> out;
+  strips_into(in, data, k_, w_, frag_len);
+  strips_into(out, parity, m_, w_, frag_len);
   enc_->exec.run(in.data(), out.data(), frag_len / w_);
 }
 

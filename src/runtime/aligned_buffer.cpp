@@ -4,6 +4,21 @@
 
 namespace xorec::runtime {
 
+size_t first_block_len(size_t block_size, size_t strip_len,
+                       std::span<const uint8_t* const> inputs,
+                       std::span<uint8_t* const> outputs, std::span<const uint32_t> refs) {
+  if (strip_len <= block_size || block_size % kCacheLine != 0) return block_size;
+  uint64_t votes[kCacheLine] = {};
+  for (size_t i = 0; i < inputs.size(); ++i)
+    votes[reinterpret_cast<uintptr_t>(inputs[i]) % kCacheLine] += refs[i];
+  for (size_t o = 0; o < outputs.size(); ++o)
+    votes[reinterpret_cast<uintptr_t>(outputs[o]) % kCacheLine] += refs[inputs.size() + o];
+  size_t r = 0;
+  for (size_t c = 1; c < kCacheLine; ++c)
+    if (votes[c] > votes[r]) r = c;
+  return block_size - r;
+}
+
 StripArena::StripArena(size_t count, size_t strip_len, size_t block_size, bool stagger)
     : strip_len_(strip_len) {
   offsets_.resize(count);

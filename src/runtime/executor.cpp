@@ -26,6 +26,18 @@ Executor::Executor(ExecProgram program, ExecOptions opt)
     : prog_(std::move(program)), opt_(opt) {
   if (opt_.block_size == 0) throw std::invalid_argument("Executor: block_size == 0");
 
+  // Each caller strip's weight in the row-grid vote (first_block_len): the
+  // operands that touch it, inputs first, then outputs.
+  strip_refs_.assign(prog_.num_inputs + prog_.num_outputs, 0);
+  const auto count = [&](const Operand& o) {
+    if (o.space == Space::In) ++strip_refs_[o.index];
+    if (o.space == Space::Out) ++strip_refs_[prog_.num_inputs + o.index];
+  };
+  for (const ExecOp& op : prog_.ops) {
+    count(op.dst);
+    for (const Operand& s : op.srcs) count(s);
+  }
+
   const kernel::KernelTable& kt = kernel::kernel_table(opt_.isa);
   kernel_ = kt.many;
   isa_ = kt.isa;
@@ -71,18 +83,20 @@ ScratchStats Executor::scratch_stats() const {
 
 void Executor::run_blocks(const uint8_t* const* inputs, uint8_t* const* outputs,
                           size_t strip_len, Scratch& scratch) const {
+  const size_t B = opt_.block_size;
+  const size_t first = first_block_len(B, strip_len, {inputs, prog_.num_inputs},
+                                       {outputs, prog_.num_outputs}, strip_refs_);
   if (lowered_) {
     lowered_->run(*scratch.lowered_state, inputs, outputs, scratch.ptrs.data(), strip_len,
-                  opt_.block_size);
+                  B, first);
     return;
   }
 
-  const size_t B = opt_.block_size;
   uint8_t* const* scr = scratch.ptrs.data();
-  std::vector<const uint8_t*> srcs(std::max<size_t>(prog_.max_arity(), 1));
+  const uint8_t** srcs = scratch.srcs.data();
 
-  for (size_t off = 0; off < strip_len; off += B) {
-    const size_t len = std::min(B, strip_len - off);
+  for (size_t off = 0, len = std::min(first, strip_len); off < strip_len;
+       off += len, len = std::min(B, strip_len - off)) {
     for (const ExecOp& op : prog_.ops) {
       for (size_t j = 0; j < op.srcs.size(); ++j) {
         const Operand& s = op.srcs[j];
@@ -100,7 +114,7 @@ void Executor::run_blocks(const uint8_t* const* inputs, uint8_t* const* outputs,
         default:
           throw std::logic_error("Executor: write to input space");
       }
-      kernel_(dst, srcs.data(), op.srcs.size(), len);
+      kernel_(dst, srcs, op.srcs.size(), len);
     }
   }
 }

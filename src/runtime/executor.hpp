@@ -2,7 +2,17 @@
 // strips in B-byte blocks so all the pebbles of one iteration stay
 // cache-resident. One call runs on the calling thread; parallelism comes
 // from running whole stripes concurrently (BatchCoder / CodecService), each
-// caller on its own scratch. Two backends share the blocking loop:
+// caller on its own scratch.
+//
+// The row grid is cache-line aware (§7.4, runtime/aligned_buffer.hpp): when
+// a strip spans several blocks and B is a multiple of 64, the first row is
+// peeled to B − r bytes, r being the line offset that most of the program's
+// operand references to caller strips sit at (first_block_len; the weights
+// are counted once, in the constructor). Every later row of those strips
+// then starts on a cache line, like the scratch blocks. Strips of one block
+// or less run as one row, unpeeled. Output bytes do not depend on the grid.
+//
+// Two backends share that grid:
 //   exec=interp   — walk the ExecProgram, resolving operands per instruction
 //                   per block through the variadic xor_many kernel;
 //   exec=lowered  — run the straight-line LoweredProgram of pre-resolved
@@ -10,11 +20,13 @@
 //                   this constructor; see runtime/lowered_program.hpp).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <vector>
 
 #include "kernel/xor_kernel.hpp"
 #include "runtime/aligned_buffer.hpp"
@@ -73,20 +85,26 @@ class Executor {
 
   /// inputs:  num_inputs strip pointers, each strip_len bytes.
   /// outputs: num_outputs strip pointers, each strip_len bytes.
-  /// Any strip_len is accepted (the last block may be short).
+  /// Any strip_len is accepted (the first row may be peeled and the last
+  /// one short; see the grid note at the top of this file).
   void run(const uint8_t* const* inputs, uint8_t* const* outputs, size_t strip_len) const;
 
  private:
-  /// One caller's private pebble storage (plus the lowered backend's slot
-  /// and argument tables, so run() never allocates).
+  /// One caller's private pebble storage, plus the interpreter's source
+  /// pointer array or the lowered backend's slot and argument tables, so
+  /// run() never allocates.
   struct Scratch {
     StripArena arena;
     std::vector<uint8_t*> ptrs;
+    std::vector<const uint8_t*> srcs;
     std::unique_ptr<LoweredProgram::State> lowered_state;
     Scratch(const ExecProgram& prog, const ExecOptions& opt, const LoweredProgram* lp)
         : arena(prog.num_scratch, opt.block_size, opt.block_size, opt.stagger_scratch),
           ptrs(arena.pointers()) {
-      if (lp) lowered_state = std::make_unique<LoweredProgram::State>(*lp);
+      if (lp)
+        lowered_state = std::make_unique<LoweredProgram::State>(*lp);
+      else
+        srcs.resize(std::max<size_t>(prog.max_arity(), 1));
     }
   };
 
@@ -97,6 +115,7 @@ class Executor {
 
   ExecProgram prog_;
   ExecOptions opt_;
+  std::vector<uint32_t> strip_refs_;  // per In/Out strip: operands referencing it
   kernel::XorManyFn kernel_;
   kernel::Isa isa_ = kernel::Isa::Scalar;
   std::unique_ptr<const LoweredProgram> lowered_;

@@ -109,7 +109,8 @@ LoweredProgram::LoweredProgram(const ExecProgram& prog, const kernel::KernelTabl
 }
 
 void LoweredProgram::run(State& st, const uint8_t* const* inputs, uint8_t* const* outputs,
-                         uint8_t* const* scratch, size_t strip_len, size_t block_size) const {
+                         uint8_t* const* scratch, size_t strip_len, size_t block_size,
+                         size_t first_block) const {
   const size_t B = block_size;
   uint8_t** slots = st.slots.data();
   const uint8_t** args = st.args.data();
@@ -122,8 +123,8 @@ void LoweredProgram::run(State& st, const uint8_t* const* inputs, uint8_t* const
   for (uint32_t o = 0; o < num_outputs_; ++o) slots[num_inputs_ + o] = outputs[o];
   for (uint32_t s = n_moving; s < num_slots_; ++s) slots[s] = scratch[s - n_moving];
 
-  for (size_t off = 0; off < strip_len; off += B) {
-    const size_t len = std::min(B, strip_len - off);
+  for (size_t off = 0, len = std::min(first_block, strip_len); off < strip_len;
+       off += len, len = std::min(B, strip_len - off)) {
     for (const Op& op : ops_) {
       const uint32_t* as = arg_slots + op.arg_base;
       for (uint32_t j = 0; j < op.arity; ++j) args[j] = slots[as[j]];
@@ -132,7 +133,7 @@ void LoweredProgram::run(State& st, const uint8_t* const* inputs, uint8_t* const
       else
         op.many(slots[op.dst], args, op.arity, len);
     }
-    for (uint32_t s = 0; s < n_moving; ++s) slots[s] += B;
+    for (uint32_t s = 0; s < n_moving; ++s) slots[s] += len;
   }
 }
 

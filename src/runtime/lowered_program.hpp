@@ -11,7 +11,9 @@
 //     argument pointers from a flattened slot-index array into one small
 //     reused buffer (no space switch, no per-op allocation — and the buffer
 //     stays L1-hot, unlike a full per-block gather), then advances the
-//     in/out slots by the block size after each block (scratch stays put);
+//     in/out slots by the row length after each row (scratch stays put);
+//     rows follow the Executor's line-aligned grid (a peeled first row,
+//     runtime/aligned_buffer.hpp), the same grid the interpreter walks;
 //   - each instruction is bound to a fixed-arity kernel specialization
 //     (kernel::KernelTable::fixed[k]) so the source count is baked into the
 //     function pointer and its inner loop is fully unrolled;
@@ -86,11 +88,15 @@ class LoweredProgram {
   /// L1/L2-resident.
   static constexpr size_t kSegmentedBlockMax = 32 * 1024;
 
-  /// Execute strip bytes [0, strip_len) in `block_size`-byte blocks. Pointer
-  /// counts must match the source ExecProgram; `scratch` buffers must hold
-  /// at least min(block_size, strip_len) bytes each.
+  /// Execute strip bytes [0, strip_len) on the executor's row grid: a first
+  /// row of min(first_block, strip_len) bytes (first_block_len(), the peel
+  /// that line-aligns later rows), then `block_size`-byte rows and at most
+  /// one short tail. Pointer counts must match the source ExecProgram;
+  /// `scratch` buffers must hold at least min(block_size, strip_len) bytes
+  /// each, and first_block must not exceed block_size.
   void run(State& st, const uint8_t* const* inputs, uint8_t* const* outputs,
-           uint8_t* const* scratch, size_t strip_len, size_t block_size) const;
+           uint8_t* const* scratch, size_t strip_len, size_t block_size,
+           size_t first_block) const;
 
  private:
   std::vector<Op> ops_;

@@ -269,6 +269,29 @@ TEST(ExecBackendForceIsa, OverrideClampsEveryResolution) {
     EXPECT_EQ(st.frags[f], ref_st.frags[f]) << "fragment " << f;
 }
 
+TEST(ExecBackendForceIsa, CacheKeyedOnResolvedIsa) {
+  // rs(6,3)@isa=avx2 built first unforced, then under a forced ISA, over one
+  // plan cache: the second codec must not be handed the encoder compiled
+  // (and kernel-bound) for the first. The cache is fresh so no earlier test
+  // can have filled it.
+  ec::CodecOptions opt;
+  opt.exec.isa = kernel::Isa::Avx2;
+  opt.plan_cache = std::make_shared<ec::PlanCache>(64);
+  const ec::RsCodec unforced(6, 3, opt);
+  const Stripe ref = encoded_stripe(unforced, unforced.fragment_multiple() * kOddStrip,
+                                    /*seed=*/9);
+
+  kernel::set_forced_isa_for_testing(kernel::Isa::Scalar);
+  struct Restore {
+    ~Restore() { kernel::set_forced_isa_for_testing(std::nullopt); }
+  } restore;
+  const ec::RsCodec forced(6, 3, opt);
+  EXPECT_EQ(forced.exec_info().isa, "scalar");
+  const Stripe st = encoded_stripe(forced, ref.frag_len, /*seed=*/9);
+  for (size_t f = 0; f < forced.total_fragments(); ++f)
+    EXPECT_EQ(st.frags[f], ref.frags[f]) << "fragment " << f;
+}
+
 TEST(ExecBackendForceIsa, ForcedIsaDegradesToHost) {
   // Forcing an ISA the host cannot run degrades instead of crashing (the CI
   // force matrix relies on this to be host-agnostic).
