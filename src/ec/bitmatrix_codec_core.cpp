@@ -97,32 +97,28 @@ class BitmatrixReconstructPlan final : public ReconstructPlan {
     }
   }
 
-  /// The true repair read set, from the flat base SLPs (a safe superset of
-  /// every optimized form — the optimizer never introduces constants). Data
-  /// step constants index the strips of its input subset; parity step
-  /// constants index the k·w data strips, where from_out sources are the
-  /// plan's own outputs (already local to the repairing caller) and survivor
-  /// sources are real reads.
+  /// The true repair read set, from each program's compile-time read
+  /// summary (CompiledProgram::const_reads). Data step constants index the
+  /// strips of its input subset; parity step constants index the k·w data
+  /// strips, where from_out sources are the plan's own outputs (already
+  /// local to the repairing caller) and survivor sources are real reads.
   PlanReadSet compute_read_set() const override {
     // Collect (survivor fragment id, strip) pairs as flat codes so one
     // sort/unique dedupes strips read by both steps.
     std::vector<uint64_t> codes;
     if (data_) {
-      for (const slp::Instruction& ins : data_->program->pipeline.base.body)
-        for (const slp::Term& t : ins.args)
-          if (t.is_const() && t.id / w_ < data_->in_pos.size())
-            codes.push_back(static_cast<uint64_t>(available()[data_->in_pos[t.id / w_]]) *
-                                w_ +
-                            t.id % w_);
+      for (uint32_t c : data_->program->const_reads)
+        if (c / w_ < data_->in_pos.size())
+          codes.push_back(static_cast<uint64_t>(available()[data_->in_pos[c / w_]]) * w_ +
+                          c % w_);
     }
     if (parity_) {
-      for (const slp::Instruction& ins : parity_->program->pipeline.base.body)
-        for (const slp::Term& t : ins.args) {
-          if (!t.is_const() || t.id / w_ >= parity_->data_src.size()) continue;
-          const RepairLayout::Source& src = parity_->data_src[t.id / w_];
-          if (src.from_out) continue;  // rebuilt by this plan — no survivor read
-          codes.push_back(static_cast<uint64_t>(available()[src.pos]) * w_ + t.id % w_);
-        }
+      for (uint32_t c : parity_->program->const_reads) {
+        if (c / w_ >= parity_->data_src.size()) continue;
+        const RepairLayout::Source& src = parity_->data_src[c / w_];
+        if (src.from_out) continue;  // rebuilt by this plan — no survivor read
+        codes.push_back(static_cast<uint64_t>(available()[src.pos]) * w_ + c % w_);
+      }
     }
     std::sort(codes.begin(), codes.end());
     codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
@@ -310,15 +306,13 @@ std::shared_ptr<const ReconstructPlan> BitmatrixCodecCore::make_plan(
   if (!layout.erased_parity.empty()) {
     BitmatrixReconstructPlan::ParityStep step;
     step.program = plan_parity(layout.erased_parity);
-    // Which data blocks the compiled program actually reads: the optimizer
-    // never introduces constants, so the flat base SLP's constant set is a
-    // safe superset. Locality codes (LRC) rebuild a local parity from its
-    // group alone — unread blocks need no source buffer (they get a valid
-    // but never-dereferenced placeholder).
+    // Which data blocks the compiled program actually reads, from its
+    // compile-time read summary. Locality codes (LRC) rebuild a local parity
+    // from its group alone — unread blocks need no source buffer (they get a
+    // valid but never-dereferenced placeholder).
     std::vector<bool> touched(k_, false);
-    for (const slp::Instruction& ins : step.program->pipeline.base.body)
-      for (const slp::Term& t : ins.args)
-        if (t.is_const() && t.id < k_ * w_) touched[t.id / w_] = true;
+    for (uint32_t c : step.program->const_reads)
+      if (c < k_ * w_) touched[c / w_] = true;
     step.data_src.reserve(k_);
     for (size_t d = 0; d < k_; ++d)
       step.data_src.push_back(touched[d]

@@ -45,6 +45,21 @@ InstanceRegistry& instances() {
 
 }  // namespace
 
+std::vector<uint32_t> CompiledProgram::constants_read(const slp::Program& p) {
+  // A bitmap, not sort+unique over every operand: the result lives as long
+  // as the program, so its capacity should be the id count, not the operand
+  // count. Constant ids of a valid program are below num_consts.
+  std::vector<bool> read(p.num_consts, false);
+  for (const slp::Instruction& ins : p.body)
+    for (const slp::Term& t : ins.args)
+      if (t.is_const()) read[t.id] = true;
+  std::vector<uint32_t> ids;
+  ids.reserve(static_cast<size_t>(std::count(read.begin(), read.end(), true)));
+  for (uint32_t id = 0; id < read.size(); ++id)
+    if (read[id]) ids.push_back(id);
+  return ids;
+}
+
 size_t PlanKey::hash() const {
   uint64_t h = kFnvOffset;
   h = fnv_mix(h, matrix_fp);

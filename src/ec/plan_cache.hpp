@@ -34,11 +34,17 @@
 
 namespace xorec::ec {
 
-/// An optimized SLP ready to run: the pipeline artifacts (for inspection)
-/// plus the blocked executor.
+/// An optimized SLP ready to run: the pipeline artifacts (for inspection),
+/// the blocked executor, and the program's read summary.
 struct CompiledProgram {
   slp::PipelineResult pipeline;
   runtime::Executor exec;
+  /// Sorted, unique constant ids (input strips) the flat base SLP reads.
+  /// The optimizer never introduces constants, so this is a safe superset
+  /// of what every optimized form reads. Built once per compile, here, so
+  /// repair-read accounting (ReconstructPlan::read_set) and the parity
+  /// source mask cost O(strips read), not a scan of the whole program.
+  std::vector<uint32_t> const_reads;
 
   /// Pre-fusion stages execute as binary XOR chains (the paper's Base/Co
   /// accounting: 3 memory accesses per XOR); fused/scheduled stages run
@@ -48,7 +54,11 @@ struct CompiledProgram {
         exec(runtime::compile(pipeline.final_form() == slp::ExecForm::Binary
                                   ? pipeline.final_program().binary_expanded()
                                   : pipeline.final_program()),
-             opt) {}
+             opt),
+        const_reads(constants_read(pipeline.base)) {}
+
+  /// The sorted, unique constant ids referenced anywhere in `p`'s body.
+  static std::vector<uint32_t> constants_read(const slp::Program& p);
 };
 
 /// Cache key. `matrix_fp`/`matrix_fp2` are two independent content

@@ -361,3 +361,126 @@ TEST(PlanReadSet, EmptyErasedReadsNothing) {
   EXPECT_TRUE(plan->read_set().fragments.empty());
   EXPECT_EQ(plan->read_set().strips, 0u);
 }
+
+// ---- read sets, pinned ------------------------------------------------------
+
+namespace {
+
+/// Every nonempty erasure set of at most `max_erased` of `n` fragments, in
+/// bitmask order.
+std::vector<std::vector<uint32_t>> erasure_sets(uint32_t n, size_t max_erased) {
+  std::vector<std::vector<uint32_t>> sets;
+  for (uint32_t mask = 1; mask < (1u << n); ++mask) {
+    std::vector<uint32_t> erased;
+    for (uint32_t id = 0; id < n; ++id)
+      if (mask >> id & 1) erased.push_back(id);
+    if (erased.size() <= max_erased) sets.push_back(std::move(erased));
+  }
+  return sets;
+}
+
+/// The 16 Zipf-ranked rs(10,4) erasure patterns of the ledger's
+/// degraded_read_64k workload (ledger/workload.cpp make_patterns): rank 0 is
+/// the paper's {2,4,5,6}, rank r >= 1 erases 1 + (r-1) % 4 of the 14.
+std::vector<std::vector<uint32_t>> ledger_patterns() {
+  constexpr uint32_t kN = 14, kM = 4;
+  std::mt19937_64 rng(0x7061747465726e73ull);
+  std::vector<std::vector<uint32_t>> sets = {{2, 4, 5, 6}};
+  while (sets.size() < 16) {
+    std::vector<uint32_t> ids(kN);
+    for (uint32_t i = 0; i < kN; ++i) ids[i] = i;
+    for (uint32_t i = kN - 1; i > 0; --i) std::swap(ids[i], ids[rng() % (i + 1)]);
+    ids.resize(1 + (sets.size() - 1) % kM);
+    std::sort(ids.begin(), ids.end());
+    if (std::find(sets.begin(), sets.end(), ids) == sets.end()) sets.push_back(ids);
+  }
+  return sets;
+}
+
+uint64_t fnv_word(uint64_t h, uint64_t v) { return (h ^ v) * 0x100000001b3ull; }
+
+struct ReadSetDigest {
+  uint64_t digest = 0xcbf29ce484222325ull;
+  size_t decodable = 0;
+};
+
+/// Plans every pattern on `codec` and hashes each read set's (fragments,
+/// fragment_strips, strips); a pattern the codec cannot plan hashes as a
+/// marker, so the decodable set is pinned too.
+ReadSetDigest digest_read_sets(const Codec& codec,
+                               const std::vector<std::vector<uint32_t>>& patterns) {
+  ReadSetDigest d;
+  for (const auto& erased : patterns) {
+    for (uint32_t id : erased) d.digest = fnv_word(d.digest, id);
+    std::shared_ptr<const ReconstructPlan> plan;
+    try {
+      plan = codec.plan_reconstruct(survivors_of(codec, erased), erased);
+    } catch (const std::exception&) {
+      d.digest = fnv_word(d.digest, ~uint64_t{0});
+      continue;
+    }
+    ++d.decodable;
+    const PlanReadSet& reads = plan->read_set();
+    for (uint32_t f : reads.fragments) d.digest = fnv_word(d.digest, f);
+    for (uint32_t s : reads.fragment_strips) d.digest = fnv_word(d.digest, s);
+    d.digest = fnv_word(d.digest, reads.strips);
+  }
+  return d;
+}
+
+}  // namespace
+
+TEST(PlanReadSet, UnchangedOnEveryPattern) {
+  // Digests of the read sets computed by the full scan of each flat base
+  // SLP, before read sets came from CompiledProgram::const_reads. A change
+  // here changes repair-traffic counters and the cluster's plan choice.
+  struct Case {
+    const char* spec;
+    bool ledger;  // the ledger's 16 patterns instead of every erasure set
+    size_t decodable;
+    uint64_t digest;
+  };
+  // Read sets come from the flat base SLP and the recovery plan alone, not
+  // from the optimizer passes: piggyback(6,4,2) runs passes=base, since its
+  // 385 full-pipeline compiles take seconds (its digest under the default
+  // passes is the same).
+  const Case cases[] = {
+      {"rs(6,3)", false, 129, 0x29bf111b8bef74f2ull},
+      {"lrc(6,2,2)", false, 355, 0x8388fc6781f91498ull},
+      {"piggyback(6,4,2)@passes=base", false, 385, 0xbee52f424ad973caull},
+      {"rs(10,4)@block=1024", true, 16, 0xb434299b9aa8dff8ull},
+  };
+  for (const Case& c : cases) {
+    CodecSpec spec = parse_spec(c.spec);
+    spec.options.plan_cache = std::make_shared<ec::PlanCache>(0, 1);
+    const auto codec = make_codec(spec);
+    const auto patterns = c.ledger ? ledger_patterns()
+                                   : erasure_sets(static_cast<uint32_t>(
+                                                      codec->total_fragments()),
+                                                  codec->parity_fragments());
+    const ReadSetDigest d = digest_read_sets(*codec, patterns);
+    EXPECT_EQ(d.decodable, c.decodable) << c.spec;
+    EXPECT_EQ(d.digest, c.digest) << c.spec << std::hex << " digest 0x" << d.digest;
+
+    // Every program the codec compiled carries the constant set of its
+    // base SLP, recomputed here by a full scan.
+    const PlanFootprint fp = codec->plan_footprint();
+    EXPECT_GT(fp.patterns.size(), 0u) << c.spec;
+    for (const auto& pattern : fp.patterns) {
+      const auto prog = spec.options.plan_cache->get_or_build(
+          {fp.matrix_fp, fp.matrix_fp2, fp.config_fp, pattern},
+          []() -> std::shared_ptr<ec::CompiledProgram> {
+            ADD_FAILURE() << "footprint pattern missing from the cache";
+            return nullptr;
+          });
+      ASSERT_NE(prog, nullptr) << c.spec;
+      std::vector<uint32_t> expect;
+      for (const slp::Instruction& ins : prog->pipeline.base.body)
+        for (const slp::Term& t : ins.args)
+          if (t.is_const()) expect.push_back(t.id);
+      std::sort(expect.begin(), expect.end());
+      expect.erase(std::unique(expect.begin(), expect.end()), expect.end());
+      EXPECT_EQ(prog->const_reads, expect) << c.spec;
+    }
+  }
+}
