@@ -52,18 +52,6 @@ void print_stage_table(const char* title, const char* key, const slp::PipelineRe
   add("scheduled", sc.instructions, sc.mem_accesses, sc.nvar, sc.ccap);
 }
 
-/// The multilevel scheduling pass: per-level simulated misses of the chosen
-/// schedule against its configured hierarchy (PipelineResult::multilevel).
-void print_multilevel_line(const char* title, const slp::PipelineResult& r) {
-  if (!r.multilevel) return;
-  std::printf("%s sched=multilevel levels=", title);
-  for (size_t i = 0; i < r.level_capacities.size(); ++i)
-    std::printf("%s%zu", i ? ":" : "", r.level_capacities[i]);
-  std::printf("  misses/level =");
-  for (const auto& l : r.multilevel->levels) std::printf(" %zu", l.misses);
-  std::printf("  memory loads = %zu\n", r.multilevel->memory_loads);
-}
-
 void print_cache_column(const char* what, const Codec& codec) {
   const CacheStats s = codec.cache_stats();
   std::printf("  cache[%s]%s: %zu entries, %zu hits, %zu misses, %zu evictions, "
@@ -111,16 +99,6 @@ int main(int argc, char** argv) {
     std::printf("P_dec plan totals: #xor=%zu #M=%zu (xor_count/schedule_stats)\n",
                 plan->xor_count(), plan->schedule_stats().mem_accesses);
     print_cache_column("rs(10,4) full", full.codec());
-
-    // The multilevel scheduling pass on the same matrices: the schedule is
-    // pebbled against an L1/L2 hierarchy — levels= unset means the REAL
-    // topology of this machine (sysfs-calibrated) — and reports its
-    // per-level misses.
-    const ServiceHandle ml = lease(",sched=multilevel");
-    print_multilevel_line("P_enc", *ml.codec().encode_pipeline());
-    const auto ml_plan = ml.plan_reconstruct(available, erased);
-    print_multilevel_line("P_dec", *ml_plan->decode_pipeline());
-    print_cache_column("rs(10,4) multilevel", ml.codec());
   }
 
   // --- throughput per stage ------------------------------------------------
@@ -134,7 +112,6 @@ int main(int argc, char** argv) {
       {"compressed", ",passes=compress"},
       {"fused", ",passes=fuse"},
       {"scheduled", ""},
-      {"multilevel", ",sched=multilevel"},
       // The execution-backend axis on the fully scheduled program:
       // "scheduled" runs the default lowered straight-line kernels; this row
       // pins the interpreting executor on the SAME compiled plan.

@@ -5,11 +5,17 @@
 #include <stdexcept>
 #include <thread>
 
-#include "api/autotune.hpp"
 #include "api/registry.hpp"
 #include "ec/rs_codec.hpp"
 
 namespace xorec {
+
+size_t pick_with_margin(const std::vector<double>& times, double margin) {
+  size_t best = 0;
+  for (size_t i = 1; i < times.size(); ++i)
+    if (times[i] < times[best] * (1.0 - margin)) best = i;
+  return best;
+}
 
 namespace {
 

@@ -49,10 +49,18 @@ namespace xorec {
 /// picks the count with the best wall-clock throughput; the result is
 /// memoized for the process, so every later auto session starts instantly.
 /// More workers must be 10% faster than the incumbent count to displace it
-/// (pick_with_margin in api/autotune.hpp), so ties favor fewer workers
-/// (oversubscribed machines and single-core containers stop pretending to
-/// have parallelism).
+/// (pick_with_margin below), so ties favor fewer workers (oversubscribed
+/// machines and single-core containers stop pretending to have
+/// parallelism).
 size_t auto_batch_workers();
+
+/// The index of the candidate a calibration sweep keeps. `times` are the
+/// candidates' measured times in sweep order; candidate 0 is the first
+/// incumbent, and each later one displaces the incumbent only when it beats
+/// the incumbent's own time by more than `margin` (0.10 = 10% faster). A
+/// near-miss never lowers the bar, so a run of small steps that add up to
+/// a real win still wins. `times` must be non-empty.
+size_t pick_with_margin(const std::vector<double>& times, double margin);
 
 class BatchCoder {
  public:

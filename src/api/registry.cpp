@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "altcodes/evenodd.hpp"
-#include "api/autotune.hpp"
 #include "altcodes/lrc.hpp"
 #include "altcodes/piggyback.hpp"
 #include "altcodes/rdp.hpp"
@@ -53,16 +52,9 @@ void apply_option(CodecSpec& cs, const std::string& key, const std::string& valu
   auto& opt = cs.options;
   const auto uint_value = [&] { return parse_uint(cs.spec, value, "option " + key); };
   if (key == "block") {
-    // block=auto defers to the measured per-machine sweep; resolution
-    // happens in make_codec / canonical_spec so parsing stays cheap.
-    if (value == "auto") {
-      cs.block_auto = true;
-    } else {
-      const size_t b = uint_value();
-      if (b == 0) fail(cs.spec, "block size must be positive");
-      opt.exec.block_size = b;
-      cs.block_auto = false;  // a later explicit block= overrides block=auto
-    }
+    const size_t b = uint_value();
+    if (b == 0) fail(cs.spec, "block size must be positive");
+    opt.exec.block_size = b;
   } else if (key == "warmup") {
     // Plan-profile replay for CodecService::acquire; make_codec refuses
     // specs carrying it (below) so the key is never silently ignored.
@@ -83,16 +75,6 @@ void apply_option(CodecSpec& cs, const std::string& key, const std::string& valu
     const size_t c = uint_value();
     if (c < 2) fail(cs.spec, "cap must be at least 2 blocks, got \"" + value + "\"");
     opt.pipeline.greedy_capacity = c;
-  } else if (key == "levels") {
-    std::vector<size_t> caps;
-    for (const std::string& tok : split(value, ':'))
-      caps.push_back(parse_uint(cs.spec, tok, "levels entry"));
-    if (caps.front() < 2)
-      fail(cs.spec, "levels: first level must hold at least 2 blocks");
-    for (size_t i = 1; i < caps.size(); ++i)
-      if (caps[i] <= caps[i - 1])
-        fail(cs.spec, "levels \"" + value + "\" must be strictly increasing");
-    opt.pipeline.cache_levels = std::move(caps);
   } else if (key == "batch") {
     // Session sizing for BatchCoder(spec); make_codec refuses specs carrying
     // it (below) so the key is never silently ignored.
@@ -135,8 +117,7 @@ void apply_option(CodecSpec& cs, const std::string& key, const std::string& valu
     if (value == "none") opt.pipeline.schedule = slp::ScheduleKind::None;
     else if (value == "dfs") opt.pipeline.schedule = slp::ScheduleKind::Dfs;
     else if (value == "greedy") opt.pipeline.schedule = slp::ScheduleKind::Greedy;
-    else if (value == "multilevel") opt.pipeline.schedule = slp::ScheduleKind::Multilevel;
-    else fail(cs.spec, "sched must be none|dfs|greedy|multilevel, got \"" + value + "\"");
+    else fail(cs.spec, "sched must be none|dfs|greedy, got \"" + value + "\"");
   } else if (key == "matrix") {
     if (value == "isal") opt.family = ec::MatrixFamily::IsalVandermonde;
     else if (value == "vand") opt.family = ec::MatrixFamily::ReducedVandermonde;
@@ -177,9 +158,8 @@ std::unique_ptr<Codec> build_rs(const CodecSpec& cs, ec::MatrixFamily family) {
 std::unique_ptr<Codec> build_naive_xor(const CodecSpec& cs) {
   need_args(cs, 1, 2);
   // naive_xor IS the disabled pipeline; a passes=/sched= request (or the
-  // scheduler knobs cap=/levels=) contradicts the family rather than
-  // configuring it.
-  for (const char* key : {"passes", "sched", "cap", "levels"})
+  // scheduler knob cap=) contradicts the family rather than configuring it.
+  for (const char* key : {"passes", "sched", "cap"})
     if (has_option(cs, key))
       fail(cs.spec, std::string("family \"naive_xor\" is the disabled pipeline; \"") +
                         key + "\" does not apply (use the rs family to pick passes)");
@@ -368,12 +348,8 @@ CodecSpec parse_spec(const std::string& raw) {
   }
   // Cross-key validation on the final pipeline shape (keys apply in order,
   // so a later passes= can legally reset an earlier sched=).
-  const auto& pl = cs.options.pipeline;
-  if (!pl.cache_levels.empty() && pl.schedule != slp::ScheduleKind::Multilevel)
-    fail(s, "levels= requires sched=multilevel");
-  if (pl.greedy_capacity != 0 && pl.schedule != slp::ScheduleKind::Greedy &&
-      pl.schedule != slp::ScheduleKind::Multilevel)
-    fail(s, "cap= requires sched=greedy or sched=multilevel");
+  if (has_option(cs, "cap") && cs.options.pipeline.schedule != slp::ScheduleKind::Greedy)
+    fail(s, "cap= requires sched=greedy");
   return cs;
 }
 
@@ -386,12 +362,6 @@ std::unique_ptr<Codec> make_codec(const CodecSpec& spec) {
       spec.option_keys.end())
     fail(spec.spec, "warmup= names a service profile, not a codec option; acquire "
                     "through xorec::CodecService instead");
-  if (spec.block_auto) {
-    CodecSpec resolved = spec;
-    resolved.options.exec.block_size = auto_block_size();
-    resolved.block_auto = false;
-    return make_codec(resolved);
-  }
   CodecBuilder builder;
   {
     Registry& r = registry();
@@ -412,12 +382,7 @@ std::unique_ptr<Codec> make_codec(const std::string& spec) {
   return make_codec(parse_spec(spec));
 }
 
-std::string canonical_spec(const CodecSpec& given) {
-  CodecSpec cs = given;
-  if (cs.block_auto) {
-    cs.options.exec.block_size = auto_block_size();
-    cs.block_auto = false;
-  }
+std::string canonical_spec(const CodecSpec& cs) {
   const ec::CodecOptions def;  // the defaults every canonical token is measured against
   const auto& o = cs.options;
 
@@ -465,7 +430,6 @@ std::string canonical_spec(const CodecSpec& given) {
       case slp::ScheduleKind::None: return "none";
       case slp::ScheduleKind::Dfs: return "dfs";
       case slp::ScheduleKind::Greedy: return "greedy";
-      case slp::ScheduleKind::Multilevel: return "multilevel";
     }
     return "none";
   };
@@ -487,11 +451,9 @@ std::string canonical_spec(const CodecSpec& given) {
   } else {
     return cs.spec;  // not grammar-expressible
   }
-  const bool sched_takes_cap = pl.schedule == slp::ScheduleKind::Greedy ||
-                               pl.schedule == slp::ScheduleKind::Multilevel;
-  if ((pl.greedy_capacity != 0 && !sched_takes_cap) ||
-      (!pl.cache_levels.empty() && pl.schedule != slp::ScheduleKind::Multilevel))
-    return cs.spec;  // cap=/levels= would not re-parse under this schedule
+  const bool emit_cap = pl.greedy_capacity != def.pipeline.greedy_capacity;
+  if (emit_cap && pl.schedule != slp::ScheduleKind::Greedy)
+    return cs.spec;  // cap= would not re-parse under this schedule
 
   // Option tokens in spec_option_keys() order; defaults are dropped, and
   // the session/service keys (batch=, warmup=) never name a codec.
@@ -504,14 +466,7 @@ std::string canonical_spec(const CodecSpec& given) {
     opts.push_back(std::string("exec=") + runtime::exec_backend_name(o.exec.backend));
   if (!passes_tok.empty()) opts.push_back(passes_tok);
   if (!sched_tok.empty()) opts.push_back(sched_tok);
-  if (pl.greedy_capacity != 0 && sched_takes_cap)
-    opts.push_back("cap=" + std::to_string(pl.greedy_capacity));
-  if (!pl.cache_levels.empty()) {
-    std::string levels = "levels=";
-    for (size_t i = 0; i < pl.cache_levels.size(); ++i)
-      levels += (i ? ":" : "") + std::to_string(pl.cache_levels[i]);
-    opts.push_back(std::move(levels));
-  }
+  if (emit_cap) opts.push_back("cap=" + std::to_string(pl.greedy_capacity));
   if (!o.shared_cache && !o.plan_cache) {
     opts.push_back(o.decode_cache_capacity == def.decode_cache_capacity
                        ? "cache=private"
@@ -545,9 +500,9 @@ void register_codec_family(const std::string& family, CodecBuilder builder) {
 const std::vector<std::string>& spec_option_keys() {
   // Keep in sync with apply_option above and the grammar in registry.hpp —
   // this list is what help text and error messages print.
-  static const std::vector<std::string> keys = {"block", "isa",    "exec",   "passes",
-                                                "sched", "cap",    "levels", "cache",
-                                                "matrix", "batch", "warmup"};
+  static const std::vector<std::string> keys = {"block", "isa",    "exec",  "passes",
+                                                "sched", "cap",    "cache", "matrix",
+                                                "batch", "warmup"};
   return keys;
 }
 

@@ -11,20 +11,16 @@
 //                                        star, rs16, naive_xor, isal
 //   args    := unsigned integers, comma-separated (family-specific arity)
 //   options := key '=' value pairs, comma-separated:
-//     block=N|auto   executor block size B in bytes (default 2048); auto
-//                    resolves to a one-shot measured sweep of this machine
-//                    (api/autotune.hpp, memoized per process)
+//     block=N        executor block size B in bytes (default 2048)
 //     isa=K          scalar | word64 | avx2 | avx512 | neon | auto
 //                    (default auto)
 //     exec=K         interp | lowered — execution backend (default
 //                    lowered: pre-resolved kernel calls); interp is the
 //                    reference interpreter
 //     passes=K       base | compress | fuse | full — optimizer preset
-//     sched=K        none | dfs | greedy | multilevel — scheduling pass
-//     cap=N          abstract-cache capacity override in blocks (>= 2);
-//                    greedy capacity / multilevel L1 (sched=greedy|multilevel)
-//     levels=L       l1:l2:... per-level block capacities, strictly
-//                    increasing (sched=multilevel; default derives from cap)
+//     sched=K        none | dfs | greedy — scheduling pass
+//     cap=N          greedy abstract-cache capacity in blocks (>= 2,
+//                    default 32; sched=greedy only)
 //     cache=K        shared (process-wide PlanCache, default) | private
 //                    (per-codec) | N (private with LRU capacity N, 0 = unbounded)
 //     matrix=K       isal | vand | cauchy — RS matrix family override
@@ -79,9 +75,6 @@ struct CodecSpec {
   std::string spec;  // the original string, whitespace-stripped
   /// batch= value: 0 = auto; only meaningful when "batch" is in option_keys.
   size_t batch_threads = 0;
-  /// block=auto given: make_codec / canonical_spec resolve it through the
-  /// measured auto_block_size() sweep (api/autotune.hpp).
-  bool block_auto = false;
   /// warmup= value: the plan-profile path CodecService::acquire replays.
   std::string warmup_path;
 
@@ -101,9 +94,8 @@ CodecSpec parse_spec(const std::string& spec);
 /// key order is fixed, options equal to their defaults are dropped,
 /// default-able positional args are filled in ("rs(10)" -> "rs(10,4)"),
 /// matrix= folds into the RS family name ("rs(9,3)@matrix=cauchy" ->
-/// "cauchy(9,3)"), block=auto resolves to the measured byte count, and the
-/// session/service keys batch=/warmup= are stripped (they configure a
-/// session or service, not the codec). Idempotent; round-trips through
+/// "cauchy(9,3)"), and the session/service keys batch=/warmup= are stripped
+/// (they configure a session or service, not the codec). Idempotent; round-trips through
 /// parse_spec. Throws std::invalid_argument on malformed input.
 std::string canonical_spec(const std::string& spec);
 std::string canonical_spec(const CodecSpec& spec);

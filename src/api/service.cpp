@@ -332,9 +332,6 @@ ServiceStats CodecService::stats() const {
         out.uptime_s > 0 ? static_cast<double>(ss.bytes_coded) / out.uptime_s / 1e9 : 0;
     out.shards.push_back(ss);
   }
-  out.cache_level_misses = (opt_.plan_cache ? opt_.plan_cache
-                                            : ec::PlanCache::process_shared())
-                               ->level_miss_totals();
   {
     std::lock_guard lk(mu_);
     for (size_t i = 0; i < shards_.size(); ++i)

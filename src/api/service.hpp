@@ -118,11 +118,6 @@ struct ServiceStats {
   /// the process (a second service, bare make_codec traffic) land in it
   /// too; inject Options::plan_cache for an exact per-service window.
   size_t warm_hits = 0, warm_misses = 0;
-  /// Per-level simulated miss totals of the multilevel-scheduled programs
-  /// the service's cache view currently holds (ec::PlanCache::
-  /// level_miss_totals — last level = memory loads). Empty when nothing
-  /// cached was multilevel-scheduled.
-  std::vector<size_t> cache_level_misses;
   double uptime_s = 0;
 
   double warm_hit_rate() const {

@@ -10,7 +10,6 @@
 //   auto lease = service.acquire("rs(10,4)@warmup=plans.profile");
 #pragma once
 
-#include "api/autotune.hpp"   // IWYU pragma: export
 #include "api/batch.hpp"      // IWYU pragma: export
 #include "api/codec.hpp"      // IWYU pragma: export
 #include "api/registry.hpp"   // IWYU pragma: export

@@ -12,18 +12,10 @@ namespace xorec::ec {
 
 namespace {
 
-template <typename Byte>
-std::vector<Byte*> strips_of(Byte* const* frags, size_t count, size_t w, size_t frag_len) {
-  const size_t strip_len = frag_len / w;
-  std::vector<Byte*> out(count * w);
-  for (size_t f = 0; f < count; ++f)
-    for (size_t s = 0; s < w; ++s) out[f * w + s] = frags[f] + s * strip_len;
-  return out;
-}
-
-/// Fill `dst` with the strip pointers of `count` fragments (fragment-major,
-/// like strips_of) reusing dst's capacity — the execute() hot path runs one
-/// plan over millions of stripes and must stay allocation-free after warmup.
+/// Fill `dst` with the strip pointers of `count` fragments, fragment-major
+/// (fragment f's strips occupy w·f .. w·f+w-1), reusing dst's capacity — the
+/// execute() hot path runs one plan over millions of stripes and must stay
+/// allocation-free after warmup.
 template <typename Byte>
 void strips_into(std::vector<Byte*>& dst, Byte* const* frags, size_t count, size_t w,
                  size_t frag_len) {
@@ -160,17 +152,6 @@ class BitmatrixReconstructPlan final : public ReconstructPlan {
 
 }  // namespace
 
-std::vector<const uint8_t*> BitmatrixCodecCore::strip_pointers(const uint8_t* const* frags,
-                                                               size_t count, size_t w,
-                                                               size_t frag_len) {
-  return strips_of<const uint8_t>(frags, count, w, frag_len);
-}
-
-std::vector<uint8_t*> BitmatrixCodecCore::strip_pointers(uint8_t* const* frags, size_t count,
-                                                         size_t w, size_t frag_len) {
-  return strips_of<uint8_t>(frags, count, w, frag_len);
-}
-
 BitmatrixCodecCore::BitmatrixCodecCore(size_t data_blocks, size_t parity_blocks,
                                        size_t strips_per_block,
                                        const bitmatrix::BitMatrix& parity, CodecOptions opt,
@@ -180,17 +161,8 @@ BitmatrixCodecCore::BitmatrixCodecCore(size_t data_blocks, size_t parity_blocks,
       w_(strips_per_block),
       opt_(std::move(opt)),
       name_(std::move(name)) {
-  // Pin the multilevel default hierarchy NOW, while the executor block size
-  // is in hand: levels= unset means "this machine's cache topology divided
-  // by B" (sysfs-calibrated, 32:512 fallback). Resolving before the config
-  // fingerprint keeps cache identity honest — two codecs that would pebble
-  // different hierarchies never share compiled programs.
-  if (opt_.pipeline.schedule == slp::ScheduleKind::Multilevel &&
-      opt_.pipeline.cache_levels.empty())
-    opt_.pipeline.cache_levels =
-        slp::effective_cache_levels(opt_.pipeline, opt_.exec.block_size);
-  // Likewise pin the ISA the executors will actually run (host degrade and
-  // the XOREC_FORCE_ISA clamp applied): keyed on the requested name, a codec
+  // Pin the ISA the executors will actually run (host degrade and the
+  // XOREC_FORCE_ISA clamp applied): keyed on the requested name, a codec
   // built under one override could be handed programs bound to another ISA.
   opt_.exec.isa = kernel::kernel_table(opt_.exec.isa).isa;
   config_fp_ = PlanCache::fingerprint_config(opt_.pipeline, opt_.exec) ^ strategy_salt;

@@ -151,13 +151,6 @@ class BitmatrixCodecCore {
       const std::vector<uint32_t>& available, const std::vector<uint32_t>& erased,
       const DataPlanFn& plan_data, const ParityPlanFn& plan_parity) const;
 
-  /// Strip pointers of `count` fragments, fragment-major: fragment f's strips
-  /// occupy indices w·f .. w·f+w-1 (the constant numbering of the SLPs).
-  static std::vector<const uint8_t*> strip_pointers(const uint8_t* const* frags,
-                                                    size_t count, size_t w, size_t frag_len);
-  static std::vector<uint8_t*> strip_pointers(uint8_t* const* frags, size_t count, size_t w,
-                                              size_t frag_len);
-
  private:
   size_t k_, m_, w_;
   CodecOptions opt_;

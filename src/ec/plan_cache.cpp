@@ -183,24 +183,6 @@ std::vector<std::vector<uint32_t>> PlanCache::patterns_for(uint64_t matrix_fp,
   return out;
 }
 
-std::vector<size_t> PlanCache::level_miss_totals() const {
-  // Levels come from MultilevelResult::levels plus one trailing slot for
-  // memory_loads; entries simulated with fewer levels just leave the deeper
-  // slots untouched.
-  std::vector<size_t> totals;
-  for (const auto& s : shards_) {
-    std::lock_guard lk(s->mu);
-    for (const auto& [key, entry] : s->map) {
-      const auto& ml = entry.first->pipeline.multilevel;
-      if (!ml) continue;
-      if (totals.size() < ml->levels.size() + 1) totals.resize(ml->levels.size() + 1, 0);
-      for (size_t i = 0; i < ml->levels.size(); ++i) totals[i] += ml->levels[i].misses;
-      totals[ml->levels.size()] += ml->memory_loads;
-    }
-  }
-  return totals;
-}
-
 void PlanCache::clear() {
   for (const auto& s : shards_) {
     std::lock_guard lk(s->mu);
@@ -242,8 +224,6 @@ uint64_t PlanCache::fingerprint_config(const slp::PipelineOptions& pipeline,
   h = fnv_mix(h, pipeline.fuse ? 1 : 0);
   h = fnv_mix(h, static_cast<uint64_t>(pipeline.schedule));
   h = fnv_mix(h, pipeline.greedy_capacity);
-  h = fnv_mix(h, pipeline.cache_levels.size());
-  for (size_t c : pipeline.cache_levels) h = fnv_mix(h, c);
   h = fnv_mix(h, exec.block_size);
   h = fnv_mix(h, static_cast<uint64_t>(exec.isa));
   h = fnv_mix(h, exec.stagger_scratch ? 1 : 0);

@@ -116,13 +116,6 @@ class PlanCache {
   /// the replayable half of a warmup profile (ec/plan_cache_io.hpp).
   std::vector<std::vector<uint32_t>> patterns_for(uint64_t matrix_fp,
                                                   uint64_t config_fp) const;
-  /// Per-cache-level simulated miss totals summed over every entry that was
-  /// multilevel-scheduled (slp::MultilevelResult::levels; index = level,
-  /// last = memory loads). Entries without multilevel stats contribute
-  /// nothing; empty when none have them. This is the paper's §6 cache-cost
-  /// model surfaced as an operable metric (ServiceStats::cache_level_misses
-  /// → xorec_plan_cache_level_misses{level}).
-  std::vector<size_t> level_miss_totals() const;
   /// Drop every entry (counters keep accumulating). In-flight plans keep
   /// their programs alive via shared ownership.
   void clear();

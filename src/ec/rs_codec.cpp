@@ -39,10 +39,6 @@ std::string rs_name(const CodecOptions& opt, size_t n, size_t p) {
   // presets in api/registry.cpp apply_option — keep the two in sync.
   const auto& pl = opt.pipeline;
   const bool xrp = pl.compress == slp::CompressKind::XorRePair;
-  const auto cap_suffix = [&] {
-    return pl.greedy_capacity ? ",cap=" + std::to_string(pl.greedy_capacity)
-                              : std::string();
-  };
   if (xrp && pl.fuse && pl.schedule == slp::ScheduleKind::Dfs)
     ;  // the default full pipeline
   else if (pl.compress == slp::CompressKind::None && !pl.fuse &&
@@ -52,15 +48,10 @@ std::string rs_name(const CodecOptions& opt, size_t n, size_t p) {
     name += "@passes=compress";
   else if (xrp && pl.fuse && pl.schedule == slp::ScheduleKind::None)
     name += "@passes=fuse";
-  else if (xrp && pl.fuse && pl.schedule == slp::ScheduleKind::Greedy)
-    name += "@sched=greedy" + cap_suffix();
-  else if (xrp && pl.fuse && pl.schedule == slp::ScheduleKind::Multilevel) {
-    name += "@sched=multilevel" + cap_suffix();
-    if (!pl.cache_levels.empty()) {
-      name += ",levels=";
-      for (size_t i = 0; i < pl.cache_levels.size(); ++i)
-        name += (i ? ":" : "") + std::to_string(pl.cache_levels[i]);
-    }
+  else if (xrp && pl.fuse && pl.schedule == slp::ScheduleKind::Greedy) {
+    name += "@sched=greedy";
+    if (pl.greedy_capacity != slp::PipelineOptions{}.greedy_capacity)
+      name += ",cap=" + std::to_string(pl.greedy_capacity);
   } else
     name += "@passes=custom";
   return name;

@@ -143,11 +143,6 @@ void append_service(const CodecService& service, std::vector<Metric>& out) {
               "Hit ratio of the serving window (lifetime; windowed ratio comes from "
               "the sampler as xorec_plan_cache_hit_ratio_window).",
               st.warm_hit_rate());
-  for (size_t i = 0; i < st.cache_level_misses.size(); ++i)
-    cache.gauge("xorec_plan_cache_level_misses", {{"level", std::to_string(i)}},
-                "Simulated per-level miss totals of the multilevel-scheduled programs "
-                "currently cached (last level = memory loads).",
-                static_cast<double>(st.cache_level_misses[i]));
 }
 
 void append_net(const net::NetServer& server, std::vector<Metric>& out) {

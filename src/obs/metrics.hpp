@@ -79,7 +79,7 @@ class MetricsRegistry {
 
   /// ServiceStats: shards (workers/jobs/depth/bytes/throughput/pools),
   /// pools (ops, repair traffic, net traffic, exec info), the plan-cache
-  /// view incl. per-level multilevel miss totals and the warm window.
+  /// view and the warm window.
   void attach(const CodecService& service);
   /// NetServerStats: connections, requests/responses/errors, backpressure,
   /// byte counters, writev gather counters, UDP group outcomes.

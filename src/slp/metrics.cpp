@@ -1,7 +1,8 @@
 #include "slp/metrics.hpp"
 
+#include <vector>
+
 #include "slp/cache_model.hpp"
-#include "slp/multilevel_cache.hpp"
 
 namespace xorec::slp {
 
@@ -43,15 +44,6 @@ StageMetrics measure(const Program& p, ExecForm form) {
   m.mem_accesses = mem_accesses(p, form);
   m.nvar = nvar(p);
   m.ccap = ccap(p, form);
-  return m;
-}
-
-StageMetrics measure(const Program& p, ExecForm form,
-                     const std::vector<size_t>& level_capacities) {
-  StageMetrics m = measure(p, form);
-  const MultilevelResult r = simulate_multilevel(p, level_capacities, form);
-  m.level_misses.reserve(r.levels.size());
-  for (const LevelStats& l : r.levels) m.level_misses.push_back(l.misses);
   return m;
 }
 

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "slp/program.hpp"
 
@@ -36,18 +35,9 @@ struct StageMetrics {
   size_t mem_accesses = 0;
   size_t nvar = 0;
   size_t ccap = 0;
-  /// Simulated miss count per cache level (multilevel measurement only —
-  /// empty unless measure() was given a level hierarchy). The last entry's
-  /// misses are the memory loads.
-  std::vector<size_t> level_misses;
 };
 
 /// All static measures of one pipeline stage (ccap via the LRU model).
 StageMetrics measure(const Program& p, ExecForm form);
-
-/// Same, plus per-level miss counts simulated against `level_capacities`
-/// (strictly increasing block counts; see slp/multilevel_cache.hpp).
-StageMetrics measure(const Program& p, ExecForm form,
-                     const std::vector<size_t>& level_capacities);
 
 }  // namespace xorec::slp

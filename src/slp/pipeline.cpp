@@ -1,14 +1,9 @@
 #include "slp/pipeline.hpp"
 
-#include "slp/cache_topology.hpp"
-
-#include <algorithm>
-
 #include "slp/fusion.hpp"
 #include "slp/repair.hpp"
 #include "slp/schedule_dfs.hpp"
 #include "slp/schedule_greedy.hpp"
-#include "slp/schedule_multilevel.hpp"
 
 namespace xorec::slp {
 
@@ -24,30 +19,6 @@ ExecForm PipelineResult::final_form() const {
   // before it, every stage executes as binary XOR chains.
   if (scheduled || fused) return ExecForm::Fused;
   return ExecForm::Binary;
-}
-
-std::vector<size_t> effective_cache_levels(const PipelineOptions& opt,
-                                           size_t block_size_bytes) {
-  if (!opt.cache_levels.empty()) return opt.cache_levels;
-  if (opt.greedy_capacity) {
-    const size_t l1 = opt.greedy_capacity;
-    return {l1, std::max<size_t>(16 * l1, 512)};
-  }
-  if (block_size_bytes) {
-    // Calibrate from the machine's own hierarchy: capacity = level size / B
-    // per detected level (§6.2's rule). Levels that collapse below 2 blocks
-    // or stop growing after the division are dropped.
-    std::vector<size_t> levels;
-    for (size_t bytes : detected_cache_sizes()) {
-      const size_t blocks = bytes / block_size_bytes;
-      if (blocks < 2) continue;
-      if (!levels.empty() && blocks <= levels.back()) continue;
-      levels.push_back(blocks);
-    }
-    if (levels.size() >= 2) return levels;
-    if (levels.size() == 1) return {levels[0], std::max<size_t>(16 * levels[0], 512)};
-  }
-  return {32, 512};
 }
 
 PipelineResult optimize(const bitmatrix::BitMatrix& m, const PipelineOptions& opt,
@@ -82,20 +53,9 @@ PipelineResult optimize_program(Program base, const PipelineOptions& opt) {
     case ScheduleKind::Dfs:
       r.scheduled = schedule_dfs(*cur);
       break;
-    case ScheduleKind::Greedy: {
-      const size_t cap = opt.greedy_capacity ? opt.greedy_capacity : 32;
-      r.scheduled = schedule_greedy(*cur, cap);
+    case ScheduleKind::Greedy:
+      r.scheduled = schedule_greedy(*cur, opt.greedy_capacity);
       break;
-    }
-    case ScheduleKind::Multilevel: {
-      r.level_capacities = effective_cache_levels(opt);
-      r.scheduled = schedule_multilevel(*cur, r.level_capacities);
-      // Score the chosen schedule against the hierarchy it pebbled for, so
-      // callers (StageMetrics, benches, plan introspection) see the
-      // per-level miss counts without re-simulating.
-      r.multilevel = simulate_multilevel(*r.scheduled, r.level_capacities, ExecForm::Fused);
-      break;
-    }
   }
   return r;
 }

@@ -5,55 +5,32 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "bitmatrix/bitmatrix.hpp"
 #include "slp/metrics.hpp"
-#include "slp/multilevel_cache.hpp"
 #include "slp/program.hpp"
 
 namespace xorec::slp {
 
 enum class CompressKind { None, RePair, XorRePair };
-enum class ScheduleKind { None, Dfs, Greedy, Multilevel };
+enum class ScheduleKind { None, Dfs, Greedy };
 
 struct PipelineOptions {
   CompressKind compress = CompressKind::XorRePair;
   bool fuse = true;
   ScheduleKind schedule = ScheduleKind::Dfs;
-  /// Abstract-cache capacity for the greedy scheduler, in blocks — also the
-  /// L1 capacity of the Multilevel hierarchy when `cache_levels` is empty.
-  /// The paper derives it from hardware: L1 size / block size (§6.2).
-  /// 0 picks 32. Spec key: cap=<blocks>.
-  size_t greedy_capacity = 0;
-  /// Level hierarchy for ScheduleKind::Multilevel, in blocks per level,
-  /// strictly increasing (e.g. {32, 512} for L1/L2 at B=1K). Empty derives
-  /// a two-level default from greedy_capacity. Spec key: levels=<l1:l2:...>.
-  /// Cache identity over these options is PlanCache::fingerprint_config.
-  std::vector<size_t> cache_levels;
+  /// Abstract-cache capacity for the greedy scheduler, in blocks. The paper
+  /// derives it from hardware: L1 size / block size (§6.2). Spec key:
+  /// cap=<blocks>, spelled only when it differs from this default. Cache
+  /// identity over these options is PlanCache::fingerprint_config.
+  size_t greedy_capacity = 32;
 };
-
-/// The level capacities a Multilevel schedule would pebble against:
-///   1. the explicit cache_levels (levels= spec key);
-///   2. else {cap, max(16*cap, 512)} when cap= was given;
-///   3. else, when the executor block size is known (block_size_bytes > 0)
-///      and sysfs exposes the machine's cache hierarchy
-///      (slp/cache_topology.hpp), each detected level's size divided by the
-///      block size — the paper's §6.2 "L1 size / B" rule per level;
-///   4. else the historical {32, 512} constant.
-std::vector<size_t> effective_cache_levels(const PipelineOptions& opt,
-                                           size_t block_size_bytes = 0);
 
 struct PipelineResult {
   Program base;                     // flat SLP of the bitmatrix ("Base")
   std::optional<Program> compressed;
   std::optional<Program> fused;
   std::optional<Program> scheduled;
-
-  /// Multilevel scheduling only: the hierarchy the schedule pebbled against
-  /// and the simulated per-level hit/miss counts of the chosen schedule.
-  std::vector<size_t> level_capacities;
-  std::optional<MultilevelResult> multilevel;
 
   /// The program the runtime should execute and how (binary vs fused form).
   const Program& final_program() const;

@@ -102,11 +102,11 @@ INSTANTIATE_TEST_SUITE_P(Specs, RegistryRoundTrip,
                                            "isal(10,4)", "rs16(6,3)",
                                            "rs(6,3)@block=512,isa=word64,passes=fuse",
                                            "rs(5,2)@block=1024,sched=greedy",
-                                           "rs(10,4)@sched=multilevel,levels=32:512",
-                                           "rs(6,3)@sched=multilevel",
+                                           "rs(10,4)@sched=greedy,cap=24",
+                                           "rs(6,3)@sched=greedy,cap=24",
                                            "rs(6,3)@sched=greedy,cap=16",
                                            "rs(6,3)@cache=private",
-                                           "cauchy(8,3)@sched=multilevel,cap=24,levels=24:96:768"),
+                                           "cauchy(8,3)@sched=greedy,cap=24"),
                          [](const auto& info) { return sanitize_spec_name(info.param); });
 
 // ---- spec parsing ----------------------------------------------------------
@@ -141,24 +141,19 @@ TEST(SpecParsing, MalformedSpecsThrow) {
 }
 
 TEST(SpecParsing, SchedulerAndCacheKeyErrorsQuoteTheSpec) {
-  // Every bad sched=/cap=/levels=/cache= value must throw AND name the
-  // offending spec in the message (the documented fail() contract).
+  // Every bad sched=/cap=/cache= value must throw AND name the offending
+  // spec in the message (the documented fail() contract).
   for (const char* bad :
        {"rs(10,4)@sched=pebble",                       // unknown scheduler
-        "rs(10,4)@sched=multilevel,cap=1",             // cap below the minimum
-        "rs(10,4)@sched=multilevel,cap=zero",          // cap not a number
-        "rs(10,4)@sched=multilevel,levels=",           // empty level list
-        "rs(10,4)@sched=multilevel,levels=32:abc",     // non-numeric level
-        "rs(10,4)@sched=multilevel,levels=1:64",       // first level too small
-        "rs(10,4)@sched=multilevel,levels=512:32",     // not increasing
-        "rs(10,4)@sched=multilevel,levels=32:32",      // not strictly increasing
-        "rs(10,4)@levels=32:512",                      // levels without multilevel
-        "rs(10,4)@cap=64",                             // cap without greedy/multilevel
+        "rs(10,4)@sched=greedy,cap=1",                 // cap below the minimum
+        "rs(10,4)@sched=greedy,cap=zero",              // cap not a number
+        "rs(10,4)@cap=64",                             // cap without greedy
+        "rs(10,4)@cap=32",                             // default cap without greedy
         "rs(10,4)@sched=dfs,cap=64",                   // cap with the wrong scheduler
+        "rs(10,4)@sched=greedy,cap=32,passes=full",    // a later preset drops greedy
         "rs(10,4)@cache=maybe",                        // bad cache mode
-        "naive_xor(8,4)@sched=multilevel",             // pipeline-less family
-        "naive_xor(8,4)@cap=32",
-        "naive_xor(8,4)@levels=32:512"}) {
+        "naive_xor(8,4)@sched=greedy",                 // pipeline-less family
+        "naive_xor(8,4)@cap=32"}) {
     try {
       make_codec(bad);
       FAIL() << "spec accepted: " << bad;
@@ -171,10 +166,9 @@ TEST(SpecParsing, SchedulerAndCacheKeyErrorsQuoteTheSpec) {
 }
 
 TEST(SpecParsing, SchedulerKeysLandInPipelineOptions) {
-  const CodecSpec cs = parse_spec("rs(10,4)@sched=multilevel,cap=24,levels=24:96");
-  EXPECT_EQ(cs.options.pipeline.schedule, slp::ScheduleKind::Multilevel);
+  const CodecSpec cs = parse_spec("rs(10,4)@sched=greedy,cap=24");
+  EXPECT_EQ(cs.options.pipeline.schedule, slp::ScheduleKind::Greedy);
   EXPECT_EQ(cs.options.pipeline.greedy_capacity, 24u);
-  EXPECT_EQ(cs.options.pipeline.cache_levels, (std::vector<size_t>{24, 96}));
 
   const CodecSpec shared = parse_spec("rs(10,4)@cache=shared");
   EXPECT_TRUE(shared.options.shared_cache);
@@ -229,9 +223,7 @@ TEST(Registry, NamesRoundTripToEquivalentSpecs) {
   EXPECT_EQ(make_codec("rs(8,4)@passes=fuse")->name(), "rs(8,4)@passes=fuse");
   EXPECT_EQ(make_codec("rs(8,4)@sched=greedy")->name(), "rs(8,4)@sched=greedy");
   EXPECT_EQ(make_codec("rs(8,4)@sched=greedy,cap=64")->name(), "rs(8,4)@sched=greedy,cap=64");
-  EXPECT_EQ(make_codec("rs(8,4)@sched=multilevel")->name(), "rs(8,4)@sched=multilevel");
-  EXPECT_EQ(make_codec("rs(8,4)@sched=multilevel,levels=32:512")->name(),
-            "rs(8,4)@sched=multilevel,levels=32:512");
+  EXPECT_EQ(make_codec("rs(8,4)@sched=greedy,cap=32")->name(), "rs(8,4)@sched=greedy");
   EXPECT_EQ(make_codec("isal(10,4)@matrix=cauchy")->name(), "isal(10,4)@matrix=cauchy");
   EXPECT_EQ(make_codec("isal(10,4)")->name(), "isal(10,4)");
   EXPECT_THROW(make_codec("rs16(6,3)@matrix=vand"), std::invalid_argument);
@@ -488,35 +480,10 @@ TEST(ObjectCodecGenericExtra, RebuildAllOverEvenodd) {
   EXPECT_EQ(*dec, blob);
 }
 
-TEST(Registry, BlockAutoResolvesToAMeasuredByteCount) {
-  // block=auto resolves through the memoized machine sweep: a real codec
-  // comes back, its block size is one of the §7.4 candidates, and a second
-  // auto spec (memoized) agrees with the direct accessor.
-  const size_t measured = auto_block_size();
-  const std::vector<size_t> candidates{512, 1024, 2048, 4096, 8192};
-  EXPECT_NE(std::find(candidates.begin(), candidates.end(), measured),
-            candidates.end());
-
-  const auto codec = make_codec("rs(6,3)@block=auto");
-  const auto& rs = dynamic_cast<const ec::RsCodec&>(*codec);
-  EXPECT_EQ(rs.options().exec.block_size, measured);
-  // A later explicit block= overrides auto, and vice versa (last wins).
-  const auto explicit_codec = make_codec("rs(6,3)@block=auto,block=512");
-  EXPECT_EQ(dynamic_cast<const ec::RsCodec&>(*explicit_codec).options().exec.block_size,
-            512u);
-  const auto auto_codec = make_codec("rs(6,3)@block=512,block=auto");
-  EXPECT_EQ(dynamic_cast<const ec::RsCodec&>(*auto_codec).options().exec.block_size,
-            measured);
-  // canonical_spec pins the resolved byte count, so auto and its resolution
-  // share one service pool.
-  EXPECT_EQ(canonical_spec("rs(6,3)@block=auto"),
-            canonical_spec("rs(6,3)@block=" + std::to_string(measured)));
-}
-
 TEST(Autotune, MarginComparesAgainstTheIncumbentsOwnTime) {
-  // Block times for 512..8192: each step is under 5% faster than the last,
-  // but 8192 is 14% faster than 1024. A rule that lowers the bar on every
-  // near-miss keeps 512 here, which is 16% slower than 8192.
+  // Five candidates: each step is under 5% faster than the last, but the
+  // fifth is 14% faster than the second. A rule that lowers the bar on every
+  // near-miss keeps the first here, which is 16% slower than the fifth.
   EXPECT_EQ(pick_with_margin({10, 9.6, 9.2, 8.8, 8.6}, 0.05), 4u);
   // The worker-count sweep's 10% margin, same shape.
   EXPECT_EQ(pick_with_margin({10, 9.5, 9.0, 8.5}, 0.10), 3u);

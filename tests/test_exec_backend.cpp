@@ -207,14 +207,32 @@ TEST(ExecBackendGrammar, RemovedExecutorKnobsAreSpecErrors) {
     expect_spec_error(spec, "(valid: " + valid + ")");
     EXPECT_THROW(make_codec(spec), std::invalid_argument) << spec;
   }
-  EXPECT_EQ(spec_option_keys().size(), 11u);
+  EXPECT_EQ(spec_option_keys().size(), 10u);
+}
+
+TEST(ExecBackendGrammar, RemovedSchedulerAndCalibrationKeysAreSpecErrors) {
+  // The multilevel scheduler and the measured block=auto sweep are gone:
+  // sched=multilevel is a bad sched= value, levels= an unknown key whose
+  // error lists the 10 valid ones, and block= takes only a byte count.
+  expect_spec_error("rs(6,3)@sched=multilevel",
+                    "sched must be none|dfs|greedy, got \"multilevel\"");
+  std::string valid;
+  for (const std::string& k : spec_option_keys()) valid += (valid.empty() ? "" : ", ") + k;
+  EXPECT_EQ(valid, "block, isa, exec, passes, sched, cap, cache, matrix, batch, warmup");
+  expect_spec_error("rs(6,3)@levels=32:512", "unknown option \"levels\"");
+  expect_spec_error("rs(6,3)@levels=32:512", "(valid: " + valid + ")");
+  expect_spec_error("rs(6,3)@block=auto", "\"auto\" is not a non-negative integer");
+  for (const char* spec : {"rs(6,3)@sched=multilevel", "rs(6,3)@levels=32:512",
+                           "rs(6,3)@block=auto", "rs(6,3)@sched=multilevel,levels=32:512"})
+    EXPECT_THROW(make_codec(spec), std::invalid_argument) << spec;
 }
 
 TEST(ExecBackendGrammar, ProfileNamingRemovedBackendIsSkippedAsOptionDrift) {
-  // A profile saved while the removed backend (or the removed threads= key)
-  // existed still loads: those codec records no longer parse, so warmup
-  // skips them like any other stale option and the rest of the profile
-  // replays — the path is not poisoned.
+  // A profile saved while the removed backend (or the removed threads=,
+  // sched=multilevel or block=auto spellings) existed still loads: those
+  // codec records no longer parse, so warmup skips them like any other
+  // stale option and the rest of the profile replays — the path is not
+  // poisoned.
   const std::string path = ::testing::TempDir() + "xorec_exec_removed_backend.profile";
   {
     std::ofstream out(path, std::ios::trunc);
@@ -222,6 +240,10 @@ TEST(ExecBackendGrammar, ProfileNamingRemovedBackendIsSkippedAsOptionDrift) {
         << "codec rs(6,3)@exec=" << kRemovedBackend << " fp 1 2 3\n"
         << "pattern 0 | 1 2 3 4 5 6\n"
         << "codec rs(6,3)@threads=2 fp 1 2 3\n"
+        << "pattern 0 | 1 2 3 4 5 6\n"
+        << "codec rs(6,3)@sched=multilevel fp 1 2 3\n"
+        << "pattern 0 | 1 2 3 4 5 6\n"
+        << "codec rs(6,3)@block=auto fp 1 2 3\n"
         << "pattern 0 | 1 2 3 4 5 6\n"
         << "codec rs(6,3) fp 1 2 3\n"
         << "pattern 0 | 1 2 3 4 5 6\n";
@@ -236,7 +258,7 @@ TEST(ExecBackendGrammar, ProfileNamingRemovedBackendIsSkippedAsOptionDrift) {
     CodecService service(isolated());
     const CodecService::WarmupReport report = service.warmup(path);
     EXPECT_EQ(report.codecs, 1u);
-    EXPECT_EQ(report.skipped, 2u);
+    EXPECT_EQ(report.skipped, 4u);
   }
   CodecService service(isolated());
   ServiceHandle h = service.acquire("rs(6,3)@warmup=" + path);

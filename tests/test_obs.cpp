@@ -10,12 +10,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <map>
 #include <memory>
-#include <numeric>
 #include <set>
 #include <sstream>
 #include <string>
@@ -348,27 +348,65 @@ TEST(ObsSampler, WindowMetricsRideEveryScrape) {
   EXPECT_NE(snap.find("xorec_plan_cache_hit_ratio_window"), nullptr);
 }
 
-// ---- plan-cache level misses ------------------------------------------------
+// ---- /metrics family names --------------------------------------------------
 
-TEST(ObsService, MultilevelMissTotalsSurfaceThroughStatsAndMetrics) {
+// The families /metrics renders for a service after one encode and one
+// reconstruct on rs(6,3), sorted. A family added, renamed or dropped fails
+// here, so every change to the exposition's names is a deliberate one.
+const std::vector<std::string> kServiceFamilies = {
+    "xorec_plan_cache_compile_seconds_total",
+    "xorec_plan_cache_entries",
+    "xorec_plan_cache_evictions_total",
+    "xorec_plan_cache_hits_total",
+    "xorec_plan_cache_misses_total",
+    "xorec_plan_cache_warm_hit_ratio",
+    "xorec_plan_cache_warm_hits_total",
+    "xorec_plan_cache_warm_misses_total",
+    "xorec_pool_cached_programs",
+    "xorec_pool_clients_total",
+    "xorec_pool_encodes_total",
+    "xorec_pool_info",
+    "xorec_pool_net_bytes_in_total",
+    "xorec_pool_net_bytes_out_total",
+    "xorec_pool_net_requests_total",
+    "xorec_pool_plans_total",
+    "xorec_pool_reconstructs_total",
+    "xorec_pool_repair_bytes_in_total",
+    "xorec_pool_repair_bytes_out_total",
+    "xorec_pool_strips_read_total",
+    "xorec_service_pools",
+    "xorec_service_shards",
+    "xorec_service_uptime_seconds",
+    "xorec_shard_bytes_coded_total",
+    "xorec_shard_jobs_total",
+    "xorec_shard_pools",
+    "xorec_shard_queue_depth",
+    "xorec_shard_throughput_gBps",
+    "xorec_shard_workers",
+};
+
+TEST(ObsMetrics, ServiceFamilyNamesArePinned) {
   CodecService service(isolated());
-  ServiceHandle h = service.acquire("rs(6,3)@sched=multilevel");
-  (void)h.plan_reconstruct({1, 2, 3, 4, 5, 6}, {0});
+  ServiceHandle h = service.acquire("rs(6,3)");
+  Buffers bufs;
+  ParitySet parity(3);
+  constexpr size_t kFrag = 1024;
+  h.encode(bufs.data_ptrs.data(), parity.ptrs.data(), kFrag).get();
 
-  const ServiceStats st = service.stats();
-  ASSERT_FALSE(st.cache_level_misses.empty());
-  const size_t total = std::accumulate(st.cache_level_misses.begin(),
-                                       st.cache_level_misses.end(), size_t{0});
-  EXPECT_GT(total, 0u);  // at minimum the memory loads of the cached programs
+  std::vector<const uint8_t*> avail(bufs.data_ptrs.begin() + 1, bufs.data_ptrs.begin() + 6);
+  avail.push_back(parity.ptrs[0]);
+  std::vector<uint8_t> rebuilt(kFrag);
+  uint8_t* out = rebuilt.data();
+  const auto plan = h.plan_reconstruct({1, 2, 3, 4, 5, 6}, {0});
+  h.reconstruct(plan, avail.data(), &out, kFrag).get();
+  EXPECT_TRUE(std::equal(rebuilt.begin(), rebuilt.end(), bufs.data[0].begin()));
 
   MetricsRegistry registry;
   registry.attach(service);
-  const MetricSnapshot snap = registry.collect();
-  for (size_t i = 0; i < st.cache_level_misses.size(); ++i)
-    EXPECT_EQ(snap.value_or("xorec_plan_cache_level_misses",
-                            {{"level", std::to_string(i)}}),
-              double(st.cache_level_misses[i]))
-        << "level " << i;
+  std::vector<std::string> families;
+  for (const auto& [name, values] : parse_prometheus(render_prometheus(registry.collect())))
+    families.push_back(name);
+  EXPECT_EQ(families, kServiceFamilies);
 }
 
 // ---- depth-driven placement -------------------------------------------------

@@ -82,56 +82,3 @@ TEST(IoCostHardwareScale, SchedulingHelpsAt512Blocks) {
   // At 512 both are pure cold misses: exactly the 80 input strips.
   EXPECT_EQ(io_cost(*r.scheduled, 512, ExecForm::Fused), 80u);
 }
-
-// ---- multilevel scheduling through the pipeline ----------------------------
-
-TEST(Pipeline, MultilevelSchedulesAndReportsPerLevelMisses) {
-  const Program base = random_flat(32, 12, 3);
-  PipelineOptions opt;
-  opt.schedule = ScheduleKind::Multilevel;
-  opt.cache_levels = {8, 64};
-  auto r = optimize_program(base, opt);
-  ASSERT_TRUE(r.scheduled);
-  EXPECT_TRUE(equivalent(base, *r.scheduled));
-  EXPECT_EQ(r.final_form(), ExecForm::Fused);
-
-  // The chosen schedule was simulated against the configured hierarchy.
-  EXPECT_EQ(r.level_capacities, (std::vector<size_t>{8, 64}));
-  ASSERT_TRUE(r.multilevel.has_value());
-  ASSERT_EQ(r.multilevel->levels.size(), 2u);
-  EXPECT_GT(r.multilevel->levels[0].hits + r.multilevel->levels[0].misses, 0u);
-  EXPECT_GE(r.multilevel->levels[0].misses, r.multilevel->memory_loads);
-
-  // The StageMetrics overload reports the same per-level misses.
-  const StageMetrics sm = measure(*r.scheduled, ExecForm::Fused, r.level_capacities);
-  ASSERT_EQ(sm.level_misses.size(), 2u);
-  EXPECT_EQ(sm.level_misses[0], r.multilevel->levels[0].misses);
-  EXPECT_EQ(sm.level_misses[1], r.multilevel->levels[1].misses);
-  EXPECT_TRUE(measure(*r.scheduled, ExecForm::Fused).level_misses.empty());
-}
-
-TEST(Pipeline, NonMultilevelSchedulesCarryNoLevelStats) {
-  auto r = optimize_program(random_flat(24, 8, 4), PipelineOptions{});
-  EXPECT_TRUE(r.level_capacities.empty());
-  EXPECT_FALSE(r.multilevel.has_value());
-}
-
-TEST(Pipeline, EffectiveCacheLevelsDerivation) {
-  PipelineOptions opt;
-  EXPECT_EQ(effective_cache_levels(opt), (std::vector<size_t>{32, 512}));
-  opt.greedy_capacity = 64;
-  EXPECT_EQ(effective_cache_levels(opt), (std::vector<size_t>{64, 1024}));
-  opt.cache_levels = {16, 128, 1024};
-  EXPECT_EQ(effective_cache_levels(opt), (std::vector<size_t>{16, 128, 1024}));
-}
-
-TEST(Pipeline, MultilevelDefaultsDeriveFromCap) {
-  const Program base = random_flat(24, 8, 5);
-  PipelineOptions opt;
-  opt.schedule = ScheduleKind::Multilevel;  // no explicit levels
-  opt.greedy_capacity = 8;
-  auto r = optimize_program(base, opt);
-  ASSERT_TRUE(r.scheduled);
-  EXPECT_TRUE(equivalent(base, *r.scheduled));
-  EXPECT_EQ(r.level_capacities, (std::vector<size_t>{8, 512}));
-}

@@ -10,8 +10,11 @@
 #include <vector>
 
 #include "api/xorec.hpp"
+#include "slp/fusion.hpp"
 #include "slp/metrics.hpp"
 #include "slp/repair.hpp"
+#include "slp/schedule_dfs.hpp"
+#include "slp/schedule_greedy.hpp"
 #include "slp/semantics.hpp"
 #include "slp_test_helpers.hpp"
 
@@ -271,6 +274,52 @@ const Golden kGolden[] = {
     {"random_flat(64,48,7)", 0xa9a7ae58f784e6e0ull, 0xd9cd95e9dc8b9a4full},
 };
 
+struct ScheduleGolden {
+  const char* name;
+  uint64_t dfs, greedy8, greedy32;  // FNV-1a of Program::to_string()
+};
+
+// The §6 schedules of each corpus program's fused XorRePair output,
+// captured before the greedy pebbling loop was folded into
+// schedule_greedy.cpp: any change to a schedule's instruction order,
+// argument order or pebble assignment fails the test.
+const ScheduleGolden kScheduleGolden[] = {
+    {"rs(10,4)/enc", 0xe9a84428461f2a60ull, 0x27f89bdb7d3814d9ull,
+     0xe7331d6c03fd8babull},
+    {"cauchy(6,3)/enc", 0xf3fb99526f958badull, 0xe909a186181254e4ull,
+     0x139c5e0061cd76f8ull},
+    {"lrc(6,2,2)/enc", 0xdd1661ea0e2ce737ull, 0xf8c59057ba6a13aeull,
+     0x7dc0dacd48683dddull},
+    {"rs(10,4)/dec-2-4-5-6", 0xf2025edcaf55f470ull, 0x13dde7f56271b2aeull,
+     0xd5bb125f7e37503dull},
+    {"rs(10,4)/dec-0", 0x107310a7aa7ece8full, 0x107310a7aa7ece8full,
+     0x107310a7aa7ece8full},
+    {"rs(10,4)/dec-3-10", 0x5352df2ae4a2cc6aull, 0x2e51619bd7bd41dcull,
+     0x5f2339943c903702ull},
+    {"rs(10,4)/dec-1-10-11", 0x39f4bee2844b4e14ull, 0x437be1540d773b65ull,
+     0x8116b36f8e65717aull},
+    {"rs(10,4)/dec-0-5-11", 0x346400577aecc428ull, 0x1a71495b8c18cff3ull,
+     0x77b56d6dc0329969ull},
+    {"rs(10,4)/dec-6-7-8-9", 0xbeb9b80f7063f718ull, 0x45566b816f2867fdull,
+     0xcd4b55f5bd22e5baull},
+    {"rs(10,4)/dec-0-3-10-13", 0x0e0b8018108f4c3eull, 0xcd363510e1becab3ull,
+     0x548c26a74fcc639dull},
+    {"random_flat(8,4,1)", 0x1cb7cea14d2a8efdull, 0x05b629368a5faeccull,
+     0x05b629368a5faeccull},
+    {"random_flat(16,8,2)", 0xe043b8594bcce291ull, 0xcef1de74ade61055ull,
+     0xbdaac187b4a58a56ull},
+    {"random_flat(13,5,3)", 0x3f8b6e4489611b48ull, 0x055f69727976739full,
+     0x662819d18ddc74fcull},
+    {"random_flat(32,16,4)", 0xd9765e32b118c396ull, 0x9345b018eb7bfc12ull,
+     0xc376322fe9e3a16cull},
+    {"random_flat(48,24,5)", 0xc2ef9b59c0975b41ull, 0xf80afc9e622d69a9ull,
+     0xae6b8148221d2101ull},
+    {"random_flat(80,32,6)", 0x331cd506d07bdb84ull, 0x2760121d7fcd3154ull,
+     0xf1bdf92d5ac99801ull},
+    {"random_flat(64,48,7)", 0xab8fdc8f1e634719ull, 0xb5f6ee42ae4113ecull,
+     0xccd78fc8da2d2ff0ull},
+};
+
 }  // namespace
 
 TEST(RePair, OutputsMatchGoldenDigests) {
@@ -283,5 +332,21 @@ TEST(RePair, OutputsMatchGoldenDigests) {
     EXPECT_EQ(name, kGolden[i].name);
     EXPECT_EQ(plain, kGolden[i].repair) << name << " (repair)";
     EXPECT_EQ(xr, kGolden[i].xor_repair) << name << " (xor_repair)";
+  }
+}
+
+TEST(Schedule, OutputsMatchGoldenDigests) {
+  const auto corpus = golden_corpus();
+  ASSERT_EQ(corpus.size(), std::size(kScheduleGolden));
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    const auto& [name, flat] = corpus[i];
+    const Program fused = fuse(xor_repair_compress(flat));
+    EXPECT_EQ(name, kScheduleGolden[i].name);
+    EXPECT_EQ(fnv1a(schedule_dfs(fused).to_string()), kScheduleGolden[i].dfs)
+        << name << " (dfs)";
+    EXPECT_EQ(fnv1a(schedule_greedy(fused, 8).to_string()), kScheduleGolden[i].greedy8)
+        << name << " (greedy cap 8)";
+    EXPECT_EQ(fnv1a(schedule_greedy(fused, 32).to_string()), kScheduleGolden[i].greedy32)
+        << name << " (greedy cap 32)";
   }
 }

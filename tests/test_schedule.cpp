@@ -8,10 +8,8 @@
 #include "slp/fusion.hpp"
 #include "slp/metrics.hpp"
 #include "slp/repair.hpp"
-#include "slp/multilevel_cache.hpp"
 #include "slp/schedule_dfs.hpp"
 #include "slp/schedule_greedy.hpp"
-#include "slp/schedule_multilevel.hpp"
 #include "slp/semantics.hpp"
 #include "slp_test_helpers.hpp"
 
@@ -137,63 +135,4 @@ TEST(Schedule, RealCodecEndToEnd) {
   EXPECT_LT(nvar(dfs), nvar(fu));
   EXPECT_LT(ccap(dfs, ExecForm::Fused), ccap(fu, ExecForm::Fused));
   EXPECT_LT(nvar(greedy), nvar(fu));
-}
-
-// ---- multilevel scheduling (§8 extension as a real pass) -------------------
-
-TEST(ScheduleMultilevel, PegSemanticsPreserved) {
-  const Program q = schedule_multilevel(make_peg(), {4, 16});
-  q.validate();
-  EXPECT_TRUE(equivalent(make_peg(), q));
-}
-
-TEST(ScheduleMultilevel, SemanticsPreservedAcrossHierarchies) {
-  const Program fu = fuse(xor_repair_compress(random_flat(40, 16, 777)));
-  for (const std::vector<size_t>& levels :
-       {std::vector<size_t>{2, 8}, {4, 64}, {8, 64, 512}, {32, 512}}) {
-    const Program q = schedule_multilevel(fu, levels);
-    q.validate();
-    ASSERT_TRUE(equivalent(fu, q)) << "levels " << levels.size();
-    EXPECT_EQ(xor_ops(q), xor_ops(fu));
-    // Pebble reuse: no more pebbles than SSA variables.
-    EXPECT_LE(nvar(q), nvar(fu));
-  }
-}
-
-TEST(ScheduleMultilevel, SingleLevelMatchesGreedy) {
-  // With one level the graded hit values collapse to the greedy 0/1 policy:
-  // the two passes must produce the identical schedule.
-  for (uint32_t seed = 0; seed < 6; ++seed) {
-    const Program fu = fuse(xor_repair_compress(random_flat(32, 12, 900 + seed)));
-    const Program g = schedule_greedy(fu, 8);
-    const Program m = schedule_multilevel(fu, {8});
-    ASSERT_EQ(g.body.size(), m.body.size()) << "seed " << seed;
-    for (size_t i = 0; i < g.body.size(); ++i) {
-      EXPECT_EQ(g.body[i].target, m.body[i].target) << "seed " << seed << " ins " << i;
-      EXPECT_EQ(g.body[i].args, m.body[i].args) << "seed " << seed << " ins " << i;
-    }
-  }
-}
-
-TEST(ScheduleMultilevel, ValidatesHierarchy) {
-  EXPECT_THROW(schedule_multilevel(make_peg(), {}), std::invalid_argument);
-  EXPECT_THROW(schedule_multilevel(make_peg(), {1, 8}), std::invalid_argument);
-  EXPECT_THROW(schedule_multilevel(make_peg(), {8, 8}), std::invalid_argument);
-  EXPECT_THROW(schedule_multilevel(make_peg(), {16, 8}), std::invalid_argument);
-}
-
-TEST(ScheduleMultilevel, RealCodecKeepsDenotationAndHelpsTheHierarchy) {
-  // RS(10,4) encode matrix: the multilevel schedule preserves semantics and
-  // does not move more data from memory than the unscheduled fused program
-  // on the hierarchy it pebbled for.
-  const auto m = xorec::bitmatrix::expand(xorec::gf::rs_parity_matrix(10, 4));
-  const Program base = from_bitmatrix(m);
-  const Program fu = fuse(xor_repair_compress(base));
-  const std::vector<size_t> levels{32, 512};
-  const Program q = schedule_multilevel(fu, levels);
-  EXPECT_TRUE(equivalent(base, q));
-  EXPECT_LT(nvar(q), nvar(fu));
-  const auto before = simulate_multilevel(fu, levels, ExecForm::Fused);
-  const auto after = simulate_multilevel(q, levels, ExecForm::Fused);
-  EXPECT_LE(after.memory_loads, before.memory_loads);
 }

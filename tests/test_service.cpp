@@ -100,8 +100,8 @@ TEST(CanonicalSpec, NormalizesSpellings) {
   EXPECT_EQ(canonical_spec("rs(8,2)@batch=4"), "rs(8,2)");
   EXPECT_EQ(canonical_spec("rs(8,2)@warmup=/tmp/p.txt,block=512"), "rs(8,2)@block=512");
   // Pipeline presets and scheduler knobs keep a stable order.
-  EXPECT_EQ(canonical_spec("rs(8,2)@sched=multilevel,levels=4:64,block=1024,cap=4"),
-            "rs(8,2)@block=1024,sched=multilevel,cap=4,levels=4:64");
+  EXPECT_EQ(canonical_spec("rs(8,2)@sched=greedy,block=1024,cap=4"),
+            "rs(8,2)@block=1024,sched=greedy,cap=4");
   EXPECT_EQ(canonical_spec("rs(8,2)@passes=base"), "rs(8,2)@passes=base");
   EXPECT_EQ(canonical_spec("rs(8,2)@cache=private"), "rs(8,2)@cache=private");
   EXPECT_EQ(canonical_spec("rs(8,2)@cache=64"), "rs(8,2)@cache=64");
@@ -111,11 +111,32 @@ TEST(CanonicalSpec, NormalizesSpellings) {
 TEST(CanonicalSpec, IsIdempotent) {
   for (const char* spec :
        {"rs(10,4)", "rs(6,3)@block=1024,sched=greedy", "cauchy(9,3)",
-        "rs(8,2)@sched=multilevel,cap=4,levels=4:64", "rs(8,2)@passes=base",
+        "rs(8,2)@sched=greedy,cap=4", "rs(8,2)@passes=base",
         "lrc(6,2,2)", "rdp(4)", "isal(8,2)"}) {
     const std::string canon = canonical_spec(spec);
     EXPECT_EQ(canonical_spec(canon), canon) << spec;
   }
+}
+
+TEST(CanonicalSpec, SpelledOutDefaultCapSharesCompiledPrograms) {
+  // cap=32 is the greedy default: spelling it out names the same codec, so
+  // both spellings share one canonical form, one name and one compile.
+  const char* implicit = "rs(6,3)@sched=greedy";
+  const char* spelled = "rs(6,3)@sched=greedy,cap=32";
+  EXPECT_EQ(canonical_spec(spelled), canonical_spec(implicit));
+  EXPECT_EQ(canonical_spec(spelled), implicit);
+
+  const auto cache = std::make_shared<ec::PlanCache>(64);
+  std::vector<std::string> names;
+  for (const char* spec : {implicit, spelled}) {
+    CodecSpec cs = parse_spec(spec);
+    cs.options.plan_cache = cache;
+    names.push_back(make_codec(cs)->name());
+  }
+  EXPECT_EQ(names[0], names[1]);
+  const CacheStats st = cache->stats();
+  EXPECT_EQ(st.misses, 1u);
+  EXPECT_EQ(st.hits, 1u);
 }
 
 // ---- pool sharing -----------------------------------------------------------
