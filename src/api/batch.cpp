@@ -113,14 +113,14 @@ BatchCoder::Session BatchCoder::parse_session(const std::string& spec) {
 
 BatchCoder::BatchCoder(const std::string& spec) : BatchCoder(parse_session(spec)) {}
 
-std::future<void> BatchCoder::submit_encode(const uint8_t* const* data,
-                                            uint8_t* const* parity, size_t frag_len) {
+runtime::TaskFuture BatchCoder::submit_encode(const uint8_t* const* data,
+                                              uint8_t* const* parity, size_t frag_len) {
   return submit_encode(codec_ptr(), data, parity, frag_len);
 }
 
-std::future<void> BatchCoder::submit_encode(std::shared_ptr<const Codec> codec,
-                                            const uint8_t* const* data,
-                                            uint8_t* const* parity, size_t frag_len) {
+runtime::TaskFuture BatchCoder::submit_encode(std::shared_ptr<const Codec> codec,
+                                              const uint8_t* const* data,
+                                              uint8_t* const* parity, size_t frag_len) {
   if (!codec)
     throw std::logic_error("BatchCoder: submit_encode on a session with no codec");
   std::vector<const uint8_t*> d(data, data + codec->data_fragments());
@@ -132,9 +132,9 @@ std::future<void> BatchCoder::submit_encode(std::shared_ptr<const Codec> codec,
       });
 }
 
-std::future<void> BatchCoder::submit_reconstruct(std::shared_ptr<const ReconstructPlan> plan,
-                                                 const uint8_t* const* available_frags,
-                                                 uint8_t* const* out, size_t frag_len) {
+runtime::TaskFuture BatchCoder::submit_reconstruct(std::shared_ptr<const ReconstructPlan> plan,
+                                                   const uint8_t* const* available_frags,
+                                                   uint8_t* const* out, size_t frag_len) {
   if (!plan) throw std::invalid_argument("BatchCoder: null plan");
   std::vector<const uint8_t*> avail(available_frags,
                                     available_frags + plan->available().size());
@@ -146,19 +146,19 @@ std::future<void> BatchCoder::submit_reconstruct(std::shared_ptr<const Reconstru
       });
 }
 
-std::future<void> BatchCoder::submit_reconstruct(std::vector<uint32_t> available,
-                                                 const uint8_t* const* available_frags,
-                                                 std::vector<uint32_t> erased,
-                                                 uint8_t* const* out, size_t frag_len) {
+runtime::TaskFuture BatchCoder::submit_reconstruct(std::vector<uint32_t> available,
+                                                   const uint8_t* const* available_frags,
+                                                   std::vector<uint32_t> erased,
+                                                   uint8_t* const* out, size_t frag_len) {
   return submit_reconstruct(codec_ptr(), std::move(available), available_frags,
                             std::move(erased), out, frag_len);
 }
 
-std::future<void> BatchCoder::submit_reconstruct(std::shared_ptr<const Codec> codec,
-                                                 std::vector<uint32_t> available,
-                                                 const uint8_t* const* available_frags,
-                                                 std::vector<uint32_t> erased,
-                                                 uint8_t* const* out, size_t frag_len) {
+runtime::TaskFuture BatchCoder::submit_reconstruct(std::shared_ptr<const Codec> codec,
+                                                   std::vector<uint32_t> available,
+                                                   const uint8_t* const* available_frags,
+                                                   std::vector<uint32_t> erased,
+                                                   uint8_t* const* out, size_t frag_len) {
   if (!codec)
     throw std::logic_error("BatchCoder: submit_reconstruct on a session with no codec");
   std::vector<const uint8_t*> avail(available_frags, available_frags + available.size());

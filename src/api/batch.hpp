@@ -2,9 +2,12 @@
 //
 // The ROADMAP's scale direction: one-shot encode()/reconstruct() calls
 // cannot express "repair a million stripes"; a session can. Jobs are
-// submitted (returning std::future<void>), run FIFO across a dedicated
-// runtime::TaskQueue worker group — stripe-level parallelism; each job runs
-// on one worker — and flush() (or the destructor) is the completion barrier.
+// submitted (returning a runtime::TaskFuture, std::future<void>'s surface)
+// and started FIFO by a dedicated runtime::TaskQueue worker group —
+// stripe-level parallelism; each job runs on one thread — and flush() (or
+// the destructor) is the completion barrier. A caller that wait()s or
+// get()s a job no worker has started yet runs it on its own thread, so a
+// lone caller never waits for a worker hand-off.
 //
 //   xorec::BatchCoder batch("rs(10,4)@block=1024,batch=8");
 //   auto plan = batch.codec().plan_reconstruct(available_ids, erased_ids);
@@ -33,7 +36,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -95,35 +97,35 @@ class BatchCoder {
 
   /// Encode one stripe: data_fragments() input pointers, parity_fragments()
   /// output pointers, frag_len as in Codec::encode.
-  std::future<void> submit_encode(const uint8_t* const* data, uint8_t* const* parity,
-                                  size_t frag_len);
+  runtime::TaskFuture submit_encode(const uint8_t* const* data, uint8_t* const* parity,
+                                    size_t frag_len);
 
   /// Explicit-codec encode: the multi-codec shard path (CodecService) —
   /// this session's own codec, if any, is bypassed.
-  std::future<void> submit_encode(std::shared_ptr<const Codec> codec,
-                                  const uint8_t* const* data, uint8_t* const* parity,
-                                  size_t frag_len);
+  runtime::TaskFuture submit_encode(std::shared_ptr<const Codec> codec,
+                                    const uint8_t* const* data, uint8_t* const* parity,
+                                    size_t frag_len);
 
   /// Repair one stripe with a prepared plan (the degraded-read fast path —
   /// plan once, submit per stripe). available_frags is parallel to
   /// plan->available(), out to plan->erased().
-  std::future<void> submit_reconstruct(std::shared_ptr<const ReconstructPlan> plan,
-                                       const uint8_t* const* available_frags,
-                                       uint8_t* const* out, size_t frag_len);
+  runtime::TaskFuture submit_reconstruct(std::shared_ptr<const ReconstructPlan> plan,
+                                         const uint8_t* const* available_frags,
+                                         uint8_t* const* out, size_t frag_len);
 
   /// Plan-less convenience: the plan lookup happens inside the job (memoized
   /// per codec); bad ids / unrecoverable patterns surface via the future.
-  std::future<void> submit_reconstruct(std::vector<uint32_t> available,
-                                       const uint8_t* const* available_frags,
-                                       std::vector<uint32_t> erased, uint8_t* const* out,
-                                       size_t frag_len);
+  runtime::TaskFuture submit_reconstruct(std::vector<uint32_t> available,
+                                         const uint8_t* const* available_frags,
+                                         std::vector<uint32_t> erased, uint8_t* const* out,
+                                         size_t frag_len);
 
   /// Explicit-codec plan-less reconstruct (multi-codec shard path).
-  std::future<void> submit_reconstruct(std::shared_ptr<const Codec> codec,
-                                       std::vector<uint32_t> available,
-                                       const uint8_t* const* available_frags,
-                                       std::vector<uint32_t> erased, uint8_t* const* out,
-                                       size_t frag_len);
+  runtime::TaskFuture submit_reconstruct(std::shared_ptr<const Codec> codec,
+                                         std::vector<uint32_t> available,
+                                         const uint8_t* const* available_frags,
+                                         std::vector<uint32_t> erased, uint8_t* const* out,
+                                         size_t frag_len);
 
   /// Barrier: returns when every job submitted so far has finished.
   void flush() { queue_.wait_idle(); }

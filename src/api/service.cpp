@@ -55,8 +55,8 @@ BatchCoder& ServiceHandle::session() const {
   return service_->shards_[XOREC_POOL(pool_).shard]->session;
 }
 
-std::future<void> ServiceHandle::encode(const uint8_t* const* data,
-                                        uint8_t* const* parity, size_t frag_len) const {
+runtime::TaskFuture ServiceHandle::encode(const uint8_t* const* data,
+                                          uint8_t* const* parity, size_t frag_len) const {
   CodecService::Pool& pool = XOREC_POOL(pool_);
   CodecService::Shard& shard = *service_->shards_[pool.shard];
   pool.encodes.fetch_add(1, std::memory_order_relaxed);
@@ -72,9 +72,9 @@ std::shared_ptr<const ReconstructPlan> ServiceHandle::plan_reconstruct(
   return pool.codec->plan_reconstruct(available, erased);
 }
 
-std::future<void> ServiceHandle::reconstruct(std::shared_ptr<const ReconstructPlan> plan,
-                                             const uint8_t* const* available_frags,
-                                             uint8_t* const* out, size_t frag_len) const {
+runtime::TaskFuture ServiceHandle::reconstruct(std::shared_ptr<const ReconstructPlan> plan,
+                                               const uint8_t* const* available_frags,
+                                               uint8_t* const* out, size_t frag_len) const {
   if (!plan) throw std::invalid_argument("ServiceHandle: null plan");
   CodecService::Pool& pool = XOREC_POOL(pool_);
   CodecService::Shard& shard = *service_->shards_[pool.shard];
@@ -93,10 +93,10 @@ std::future<void> ServiceHandle::reconstruct(std::shared_ptr<const ReconstructPl
   return shard.session.submit_reconstruct(std::move(plan), available_frags, out, frag_len);
 }
 
-std::future<void> ServiceHandle::rebuild(std::vector<uint32_t> available,
-                                         const uint8_t* const* available_frags,
-                                         std::vector<uint32_t> erased, uint8_t* const* out,
-                                         size_t frag_len) const {
+runtime::TaskFuture ServiceHandle::rebuild(std::vector<uint32_t> available,
+                                           const uint8_t* const* available_frags,
+                                           std::vector<uint32_t> erased, uint8_t* const* out,
+                                           size_t frag_len) const {
   CodecService::Pool& pool = XOREC_POOL(pool_);
   CodecService::Shard& shard = *service_->shards_[pool.shard];
   pool.reconstructs.fetch_add(1, std::memory_order_relaxed);

@@ -16,8 +16,10 @@
 // lease ONE codec instance — and, through the shared PlanCache, one set of
 // compiled programs. Each pool entry is pinned round-robin to a shard; a
 // shard is a codec-less BatchCoder session (dedicated TaskQueue workers),
-// so traffic for different pools proceeds in parallel while one pool's jobs
-// stay FIFO on their shard.
+// so traffic for different pools proceeds in parallel while the shard's
+// workers start one pool's jobs FIFO. A caller that get()s a job no worker
+// has started yet runs it itself (runtime::TaskFuture), so callers of one
+// pool are not serialized behind its shard's single worker.
 //
 // Warmup/persistence: the plan cache amortizes compilation only when reused,
 // and a fresh process starts cold. save_profile(path) persists the service's
@@ -38,7 +40,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -137,8 +138,8 @@ class ServiceHandle {
   size_t shard() const;
 
   /// Encode one stripe on the pool's shard (buffer rules as BatchCoder).
-  std::future<void> encode(const uint8_t* const* data, uint8_t* const* parity,
-                           size_t frag_len) const;
+  runtime::TaskFuture encode(const uint8_t* const* data, uint8_t* const* parity,
+                             size_t frag_len) const;
 
   /// Solve an erasure pattern once (counted in PoolStats::plans); share the
   /// plan across stripes and submit executions below.
@@ -146,16 +147,16 @@ class ServiceHandle {
       const std::vector<uint32_t>& available, const std::vector<uint32_t>& erased) const;
 
   /// Execute a prepared plan over one stripe on the pool's shard.
-  std::future<void> reconstruct(std::shared_ptr<const ReconstructPlan> plan,
-                                const uint8_t* const* available_frags,
-                                uint8_t* const* out, size_t frag_len) const;
+  runtime::TaskFuture reconstruct(std::shared_ptr<const ReconstructPlan> plan,
+                                  const uint8_t* const* available_frags,
+                                  uint8_t* const* out, size_t frag_len) const;
 
   /// Plan-less repair of one stripe (lookup memoized inside the job);
   /// unrecoverable patterns surface via the future.
-  std::future<void> rebuild(std::vector<uint32_t> available,
-                            const uint8_t* const* available_frags,
-                            std::vector<uint32_t> erased, uint8_t* const* out,
-                            size_t frag_len) const;
+  runtime::TaskFuture rebuild(std::vector<uint32_t> available,
+                              const uint8_t* const* available_frags,
+                              std::vector<uint32_t> erased, uint8_t* const* out,
+                              size_t frag_len) const;
 
   /// The shard session carrying this pool's traffic (ObjectCodec routing).
   BatchCoder& session() const;

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <future>
 #include <limits>
 #include <ostream>
 #include <queue>

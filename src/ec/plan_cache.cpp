@@ -223,7 +223,9 @@ uint64_t PlanCache::fingerprint_config(const slp::PipelineOptions& pipeline,
   h = fnv_mix(h, static_cast<uint64_t>(pipeline.compress));
   h = fnv_mix(h, pipeline.fuse ? 1 : 0);
   h = fnv_mix(h, static_cast<uint64_t>(pipeline.schedule));
-  h = fnv_mix(h, pipeline.greedy_capacity);
+  // Only the greedy scheduler reads its capacity: codecs on another
+  // schedule that differ in it alone compile identical programs.
+  if (pipeline.schedule == slp::ScheduleKind::Greedy) h = fnv_mix(h, pipeline.greedy_capacity);
   h = fnv_mix(h, exec.block_size);
   h = fnv_mix(h, static_cast<uint64_t>(exec.isa));
   h = fnv_mix(h, exec.stagger_scratch ? 1 : 0);

@@ -111,7 +111,7 @@ struct NetServer::Impl {
   };
 
   struct Completion {
-    std::future<void> fut;
+    runtime::TaskFuture fut;
     std::function<void(bool ok, const std::string& err)> done;
   };
 
@@ -142,7 +142,8 @@ struct NetServer::Impl {
   std::map<std::pair<uint32_t, uint16_t>, GroupAssembler> assemblers;  // per peer
 
   // loop -> completion thread: futures awaited strictly FIFO (head-of-line
-  // waits are bounded by the queue-depth cap)
+  // waits are bounded by the queue-depth cap; an unstarted head job runs on
+  // the completion thread)
   std::mutex cmu;
   std::condition_variable ccv;
   std::deque<Completion> completions;
@@ -246,7 +247,7 @@ struct NetServer::Impl {
 
   // ---- completion thread ---------------------------------------------------
 
-  void push_completion(std::future<void> fut,
+  void push_completion(runtime::TaskFuture fut,
                        std::function<void(bool, const std::string&)> done) {
     {
       std::lock_guard<std::mutex> lk(cmu);
@@ -583,7 +584,7 @@ struct NetServer::Impl {
     req->conn_id = c.id;
     req->body = std::move(body);  // vector move keeps storage: spans stay valid
     req->handle = *handle;
-    std::future<void> fut;
+    runtime::TaskFuture fut;
 
     if (h.type == FrameType::EncodeRequest) {
       if (h.payload_count != k || h.present_bitmap != low_bits(k)) {
@@ -724,8 +725,8 @@ struct NetServer::Impl {
     job->handle = *handle;
     for (uint32_t id : available) job->in_ptrs.push_back(g->slot(id));
     for (uint32_t id : missing) job->out_ptrs.push_back(g->slot(id));
-    std::future<void> fut = handle->reconstruct(plan, job->in_ptrs.data(),
-                                                job->out_ptrs.data(), g->frag_len);
+    runtime::TaskFuture fut = handle->reconstruct(plan, job->in_ptrs.data(),
+                                                  job->out_ptrs.data(), g->frag_len);
     push_completion(std::move(fut), [this, job](bool ok, const std::string&) {
       GroupAck a = job->ack;
       if (!ok) {

@@ -11,6 +11,11 @@
 //   write queued responses       <-- finalized response pushed to the
 //   send queued UDP acks             loop's completed-queue + wake pipe
 //
+// The completion thread get()s the futures in FIFO order; a head job that
+// no shard worker has started yet runs on the completion thread itself
+// (runtime::TaskFuture's waiter-runs rule), so a busy shard worker does
+// not hold back the response at the head of the line.
+//
 // The loop parses a request, points the codec DIRECTLY at the receive
 // buffer (FrameView payload spans) and at the preallocated response frame
 // (parity/rebuilt strips are computed in place in the bytes that will be

@@ -20,17 +20,15 @@ size_t first_block_len(size_t block_size, size_t strip_len,
 }
 
 StripArena::StripArena(size_t count, size_t strip_len, size_t block_size, bool stagger)
-    : strip_len_(strip_len) {
-  offsets_.resize(count);
-  // Per-strip stride: strip length rounded up to 4K, plus the stagger shift.
-  const size_t base_stride = (strip_len + kCachePage - 1) / kCachePage * kCachePage;
-  size_t total = 0;
-  for (size_t i = 0; i < count; ++i) {
-    const size_t shift = stagger ? (i * block_size) % kCachePage : 0;
-    offsets_[i] = total + shift;
-    total += base_stride + (stagger ? kCachePage : 0);
-  }
-  storage_ = std::make_unique<uint8_t[]>(total + kCachePage);
+    : count_(count), strip_len_(strip_len) {
+  // Staggered: the smallest stride >= strip_len that is congruent to
+  // block_size mod 4K, so strip i lands at i*stride ≡ i*block_size with no
+  // padding beyond what the rule needs. Unstaggered: strip_len rounded up
+  // to 4K.
+  const size_t shift = stagger ? block_size % kCachePage : 0;
+  stride_ = strip_len + (shift + kCachePage - strip_len % kCachePage) % kCachePage;
+  const size_t total = count * stride_;
+  storage_ = std::make_unique_for_overwrite<uint8_t[]>(total + kCachePage);
   const uintptr_t raw = reinterpret_cast<uintptr_t>(storage_.get());
   base_ = storage_.get() + ((kCachePage - raw % kCachePage) % kCachePage);
   std::memset(base_, 0, total);

@@ -41,26 +41,29 @@ size_t first_block_len(size_t block_size, size_t strip_len,
                        std::span<uint8_t* const> outputs, std::span<const uint32_t> refs);
 
 /// A slab of `count` equally sized strips with the staggered layout:
-/// strip(i) starts at offset_i with offset_i ≡ i*block_size (mod 4K).
-/// With stagger disabled every strip is 4K-aligned (the adversarial layout
-/// §7.4 warns about) — kept for the alignment ablation benchmark.
+/// strip(i) starts at offset_i = i*s, where the stride s is the smallest
+/// s >= strip_len with s ≡ block_size (mod 4K), so offset_i ≡ i*block_size
+/// (mod 4K) and the slab carries no padding the rule does not need. At the
+/// executor's strip_len = block_size = 1 KiB, s is 1 KiB: the strips pack
+/// back to back. With stagger disabled every strip is 4K-aligned (s is
+/// strip_len rounded up to 4K; the adversarial layout §7.4 warns about) —
+/// kept for the alignment ablation benchmark.
 class StripArena {
  public:
   StripArena(size_t count, size_t strip_len, size_t block_size, bool stagger = true);
 
-  uint8_t* strip(size_t i) { return base_ + offsets_[i]; }
-  const uint8_t* strip(size_t i) const { return base_ + offsets_[i]; }
-  size_t count() const { return offsets_.size(); }
+  uint8_t* strip(size_t i) { return base_ + i * stride_; }
+  const uint8_t* strip(size_t i) const { return base_ + i * stride_; }
+  size_t count() const { return count_; }
   size_t strip_len() const { return strip_len_; }
 
   std::vector<uint8_t*> pointers();
   std::vector<const uint8_t*> const_pointers() const;
 
  private:
-  size_t strip_len_;
+  size_t count_, strip_len_, stride_;
   std::unique_ptr<uint8_t[]> storage_;
   uint8_t* base_ = nullptr;  // 4K-aligned start inside storage_
-  std::vector<size_t> offsets_;
 };
 
 }  // namespace xorec::runtime

@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <random>
 #include <thread>
 
@@ -19,7 +22,7 @@ using namespace xorec;
 TEST(TaskQueue, RunsEverySubmittedTask) {
   runtime::TaskQueue q(4);
   std::atomic<int> count{0};
-  std::vector<std::future<void>> futs;
+  std::vector<runtime::TaskFuture> futs;
   for (int i = 0; i < 100; ++i) futs.push_back(q.submit([&] { ++count; }));
   q.wait_idle();
   EXPECT_EQ(count.load(), 100);
@@ -51,6 +54,202 @@ TEST(TaskQueue, ZeroThreadsClampsToOne) {
   EXPECT_EQ(q.threads(), 1u);
   auto f = q.submit([] {});
   EXPECT_NO_THROW(f.get());
+}
+
+namespace {
+
+/// A latch that queued tasks block on. release() opens it; a fallback timer
+/// opens it after 2 s anyway, so a queue whose waiters cannot run their own
+/// task fails these tests instead of hanging them. Declare it before the
+/// TaskQueue so it outlives every task that waits on it.
+class Gate {
+ public:
+  Gate()
+      : timer_([this] {
+          std::unique_lock lk(mu_);
+          cv_.wait_for(lk, std::chrono::seconds(2), [&] { return open_; });
+          open_ = true;
+          cv_.notify_all();
+        }) {}
+  ~Gate() {
+    release();
+    timer_.join();
+  }
+  void release() {
+    {
+      std::lock_guard lk(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  void wait() {
+    std::unique_lock lk(mu_);
+    cv_.wait(lk, [&] { return open_; });
+  }
+  bool is_open() const {
+    std::lock_guard lk(mu_);
+    return open_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+  std::thread timer_;  // last: starts after the state it waits on
+};
+
+/// Spin until `flag` is set or 2 s pass; returns the flag.
+bool eventually(const std::atomic<bool>& flag) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!flag.load() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+  return flag.load();
+}
+
+}  // namespace
+
+TEST(TaskQueue, WaiterRunsItsOwnUnstartedTask) {
+  Gate gate;
+  runtime::TaskQueue q(1);
+  std::atomic<bool> holding{false};
+  auto hold = q.submit([&] {
+    holding = true;
+    gate.wait();  // the only worker is busy until the gate opens
+  });
+  ASSERT_TRUE(eventually(holding));
+
+  std::thread::id ran_on;
+  bool gate_was_open = true;
+  auto own = q.submit([&] {
+    ran_on = std::this_thread::get_id();
+    gate_was_open = gate.is_open();
+  });
+  own.get();
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_FALSE(gate_was_open) << "the task waited for the busy worker";
+  gate.release();
+  hold.get();
+}
+
+TEST(TaskQueue, ClaimedTaskCountsInDepthAndFlush) {
+  Gate worker_gate, waiter_gate;
+  runtime::TaskQueue q(1);
+  std::atomic<bool> holding{false}, claimed{false}, flushed{false};
+  auto hold = q.submit([&] {
+    holding = true;
+    worker_gate.wait();
+  });
+  ASSERT_TRUE(eventually(holding));
+
+  auto job = q.submit([&] {
+    claimed = true;
+    waiter_gate.wait();
+  });
+  std::thread waiter([&] { job.get(); });
+  EXPECT_TRUE(eventually(claimed)) << "the waiter did not start its task";
+  worker_gate.release();
+  hold.wait();  // the worker is idle again; only the waiter's task is left
+
+  EXPECT_EQ(q.depth(), 1u);
+  std::thread flusher([&] {
+    q.wait_idle();
+    flushed = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(flushed.load()) << "wait_idle returned while a waiter ran a task";
+  EXPECT_EQ(q.depth(), 1u);
+
+  waiter_gate.release();
+  waiter.join();
+  flusher.join();
+  EXPECT_TRUE(flushed.load());
+  EXPECT_EQ(q.depth(), 0u);
+}
+
+TEST(TaskQueue, WaitForZeroNeverRunsTheTask) {
+  Gate gate;
+  runtime::TaskQueue q(1);
+  std::atomic<bool> holding{false}, ran{false};
+  auto hold = q.submit([&] {
+    holding = true;
+    gate.wait();
+  });
+  ASSERT_TRUE(eventually(holding));
+
+  std::thread::id ran_on;
+  auto job = q.submit([&] {
+    ran_on = std::this_thread::get_id();
+    ran = true;
+  });
+  EXPECT_EQ(job.wait_for(std::chrono::seconds(0)), std::future_status::timeout);
+  EXPECT_EQ(job.wait_for(std::chrono::milliseconds(20)), std::future_status::timeout);
+  EXPECT_FALSE(ran.load());
+  // wait_for left the task unstarted, so get() still runs it right here.
+  job.get();
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_FALSE(gate.is_open());
+  gate.release();
+  hold.get();
+}
+
+TEST(TaskQueue, WaiterRunTaskRethrowsAndTheQueueStaysUsable) {
+  Gate gate;
+  runtime::TaskQueue q(1);
+  std::atomic<bool> holding{false};
+  auto hold = q.submit([&] {
+    holding = true;
+    gate.wait();
+  });
+  ASSERT_TRUE(eventually(holding));
+
+  std::thread::id ran_on;
+  auto bad = q.submit([&] {
+    ran_on = std::this_thread::get_id();
+    throw std::runtime_error("job failed");
+  });
+  EXPECT_THROW(bad.get(), std::runtime_error);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_FALSE(bad.valid());
+  gate.release();
+  hold.get();
+
+  q.wait_idle();  // the failure must not wedge the queue or its count
+  EXPECT_EQ(q.depth(), 0u);
+  std::atomic<int> count{0};
+  std::vector<runtime::TaskFuture> futs;
+  for (int i = 0; i < 20; ++i) futs.push_back(q.submit([&] { ++count; }));
+  for (auto& f : futs) EXPECT_NO_THROW(f.get());
+  EXPECT_EQ(count.load(), 20);
+  EXPECT_EQ(q.depth(), 0u);
+}
+
+TEST(TaskQueue, DestructorWaitsForAWaiterRunTask) {
+  Gate worker_gate, waiter_gate;
+  std::atomic<bool> holding{false}, claimed{false}, finished{false};
+  std::thread waiter, opener;
+  {
+    runtime::TaskQueue q(1);
+    auto hold = q.submit([&] {
+      holding = true;
+      worker_gate.wait();
+    });
+    ASSERT_TRUE(eventually(holding));
+    auto job = q.submit([&] {
+      claimed = true;
+      waiter_gate.wait();
+      finished = true;
+    });
+    waiter = std::thread([job = std::move(job)]() mutable { job.get(); });
+    EXPECT_TRUE(eventually(claimed));
+    worker_gate.release();
+    opener = std::thread([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      waiter_gate.release();
+    });
+  }  // ~TaskQueue: must not return before the waiter's task finished
+  EXPECT_TRUE(finished.load());
+  waiter.join();
+  opener.join();
 }
 
 // ---- BatchCoder ------------------------------------------------------------
@@ -103,7 +302,7 @@ TEST(BatchCoder, RoundTrips64MixedJobsConcurrently) {
   std::vector<std::vector<std::vector<uint8_t>>> rep_out(kRepairs);
   std::vector<std::vector<uint8_t*>> rep_out_ptrs(kRepairs);
 
-  std::vector<std::future<void>> futs;
+  std::vector<runtime::TaskFuture> futs;
   for (size_t j = 0; j < kEncodes; ++j) {  // interleave the two job kinds
     {
       enc[j] = make_stripe(*codec, frag_len, static_cast<uint32_t>(j));

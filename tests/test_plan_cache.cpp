@@ -11,6 +11,7 @@
 
 #include "api/xorec.hpp"
 #include "ec/plan_cache.hpp"
+#include "ec/rs_codec.hpp"
 
 using namespace xorec;
 
@@ -178,6 +179,27 @@ TEST(PlanCache, SizeForScopesToOneCodecIdentity) {
   EXPECT_EQ(cache.size_for(10, 2), 1u);
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(PlanCache, GreedyCapacityKeysOnlyGreedySchedules) {
+  // A dfs codec never reads greedy_capacity, so a codec that differs only
+  // in it (bench_common.hpp's stage_options sets 32 KiB / B) must reuse the
+  // compiled encoder instead of compiling it again.
+  ec::CodecOptions opt;
+  opt.plan_cache = std::make_shared<ec::PlanCache>(0, 2);
+  const ec::RsCodec plain(10, 4, opt);
+  opt.pipeline.greedy_capacity = 16;
+  const ec::RsCodec capped(10, 4, opt);
+  const CacheStats s = opt.plan_cache->stats();
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.hits, 1u);
+  // Under sched=greedy the capacity shapes the program, so it stays keyed.
+  EXPECT_NE(ec::PlanCache::fingerprint_config({.schedule = slp::ScheduleKind::Greedy,
+                                               .greedy_capacity = 8},
+                                              {}),
+            ec::PlanCache::fingerprint_config({.schedule = slp::ScheduleKind::Greedy,
+                                               .greedy_capacity = 16},
+                                              {}));
 }
 
 // ---- concurrency ------------------------------------------------------------

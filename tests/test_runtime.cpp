@@ -123,7 +123,7 @@ std::string executor_sweep_name(
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, ExecutorSweep,
-    ::testing::Combine(::testing::Values<size_t>(64, 1024, 4096),
+    ::testing::Combine(::testing::Values<size_t>(64, 1000, 1024, 4096),
                        ::testing::Values(kernel::Isa::Scalar, kernel::Isa::Avx2),
                        ::testing::Values<size_t>(1, 4), ::testing::Bool()),
     executor_sweep_name);
@@ -164,6 +164,22 @@ TEST(StripArena, StaggeredOffsetsFollowThePaperFormula) {
     const uintptr_t addr = reinterpret_cast<uintptr_t>(arena.strip(i));
     EXPECT_EQ(addr % runtime::kCachePage, (i * B) % runtime::kCachePage) << "strip " << i;
   }
+}
+
+TEST(StripArena, PacksStripsAtTheSmallestConflictFreeStride) {
+  // strip_len = B: the stride is B itself, the smallest s >= B with
+  // s ≡ B (mod 4K) — no 4K rounding, no extra stagger page.
+  for (size_t B : {64, 512, 1024, 2048, 4096, 8192}) {
+    runtime::StripArena arena(6, B, B, /*stagger=*/true);
+    for (size_t i = 0; i + 1 < arena.count(); ++i)
+      EXPECT_EQ(arena.strip(i + 1) - arena.strip(i), static_cast<ptrdiff_t>(B))
+          << "B=" << B << " strip " << i;
+  }
+  // Otherwise the stride rounds strip_len up to the next value ≡ B (mod 4K).
+  runtime::StripArena short_strips(4, 1000, 1024, true);
+  EXPECT_EQ(short_strips.strip(1) - short_strips.strip(0), 1024);
+  runtime::StripArena long_strips(4, 5000, 1024, true);
+  EXPECT_EQ(long_strips.strip(1) - long_strips.strip(0), 5120);
 }
 
 TEST(StripArena, UnstaggeredIs4KAligned) {
