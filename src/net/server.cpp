@@ -11,12 +11,9 @@
 
 #include <atomic>
 #include <cerrno>
-#include <condition_variable>
 #include <cstring>
 #include <deque>
-#include <functional>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -79,7 +76,7 @@ struct NetServer::Impl {
     // write side: queued response frames, front partially written
     std::deque<Outbound> outbox;
     size_t out_off = 0;  // bytes of the FRONT outbound already written
-    size_t inflight = 0;       // submitted-but-unanswered requests
+    size_t inflight = 0;       // submitted this pass, answered at its end
     bool closing = false;      // drain outbox, then close (framing lost)
     std::optional<Deferred> deferred;  // parsed request parked on backpressure
   };
@@ -93,33 +90,28 @@ struct NetServer::Impl {
     std::vector<uint8_t> body;
     std::vector<const uint8_t*> in_ptrs;
     std::vector<uint8_t*> out_ptrs;
-    std::vector<uint32_t> avail_ids, erased_ids;
-    FrameHeader rh;  // response header; body_crc finalized at completion
+    FrameHeader rh;  // response header; body_crc finalized when the job ends
     std::vector<uint8_t> resp_body;
-    std::optional<ServiceHandle> handle;
+    ServiceHandle* handle = nullptr;  // a `handles` entry: never erased
   };
 
   /// One in-flight UDP degraded read: the group arena is both the survivor
   /// source and the rebuild destination.
   struct UdpJob {
-    std::shared_ptr<StripeGroup> g;
+    StripeGroup g;
     std::vector<const uint8_t*> in_ptrs;
     std::vector<uint8_t*> out_ptrs;
     sockaddr_in to{};
     GroupAck ack;
-    std::optional<ServiceHandle> handle;
+    ServiceHandle* handle = nullptr;
   };
 
-  struct Completion {
+  /// A job submitted in the current pass; exactly one of tcp / udp is set.
+  /// The boxes keep the job's buffers at fixed addresses while it runs.
+  struct Pending {
     runtime::TaskFuture fut;
-    std::function<void(bool ok, const std::string& err)> done;
-  };
-
-  struct Finished {
-    uint64_t conn_id = 0;
-    std::vector<uint8_t> head;
-    std::vector<uint8_t> body;  // empty for error/pong frames
-    bool is_error = false;
+    std::unique_ptr<Req> tcp;
+    std::unique_ptr<UdpJob> udp;
   };
 
   // ---- members -------------------------------------------------------------
@@ -127,10 +119,10 @@ struct NetServer::Impl {
   CodecService& service;
   ServerOptions opt;
   int tcp_fd = -1, udp_fd = -1;
-  int wake_r = -1, wake_w = -1;
+  int wake_r = -1, wake_w = -1;  // stop() wakes poll()
   uint16_t bound_tcp_port = 0, bound_udp_port = 0;
 
-  std::thread loop_thread, completion_thread;
+  std::thread loop_thread;
   std::atomic<bool> running{false};
   bool started = false;
 
@@ -140,18 +132,8 @@ struct NetServer::Impl {
   std::unordered_map<int, std::unique_ptr<Conn>> conns;      // fd -> conn
   std::unordered_map<uint64_t, Conn*> by_id;
   std::map<std::pair<uint32_t, uint16_t>, GroupAssembler> assemblers;  // per peer
-
-  // loop -> completion thread: futures awaited strictly FIFO (head-of-line
-  // waits are bounded by the queue-depth cap; an unstarted head job runs on
-  // the completion thread)
-  std::mutex cmu;
-  std::condition_variable ccv;
-  std::deque<Completion> completions;
-  bool cstop = false;
-
-  // completion thread -> loop: finalized TCP responses
-  std::mutex fmu;
-  std::deque<Finished> finished;
+  std::vector<Pending> pass_jobs;  // submission order
+  std::vector<int> ready_fds;      // write_outboxes scratch
 
   std::atomic<size_t> connections_accepted{0}, open_conns{0};
   std::atomic<size_t> requests{0}, responses{0}, errors{0}, backpressure_stalls{0};
@@ -208,83 +190,23 @@ struct NetServer::Impl {
   void start() {
     if (started) return;
     started = true;
-    {
-      // stop() latches cstop so the completion thread drains and exits; a
-      // restarted server needs the latch cleared or its new completion
-      // thread exits immediately and responses are never delivered.
-      std::lock_guard<std::mutex> lk(cmu);
-      cstop = false;
-    }
     running.store(true);
     loop_thread = std::thread([this] { loop_main(); });
-    completion_thread = std::thread([this] { completion_main(); });
   }
 
   void stop() {
     if (!started) return;
     running.store(false);
-    wake();
+    const uint8_t b = 1;
+    (void)!::write(wake_w, &b, 1);  // EAGAIN = already pending, fine
+    // A pass always finishes its own jobs, so once the loop has exited no
+    // job references a request or response buffer.
     if (loop_thread.joinable()) loop_thread.join();
-    {
-      std::lock_guard<std::mutex> lk(cmu);
-      cstop = true;
-    }
-    ccv.notify_all();
-    // The completion thread drains every submitted future before exiting,
-    // so request/response buffers stay alive until their jobs finish.
-    if (completion_thread.joinable()) completion_thread.join();
     for (auto& [fd, conn] : conns) ::close(fd);
     conns.clear();
     by_id.clear();
     open_conns.store(0);
     started = false;
-  }
-
-  void wake() {
-    const uint8_t b = 1;
-    (void)!::write(wake_w, &b, 1);  // EAGAIN = already pending, fine
-  }
-
-  // ---- completion thread ---------------------------------------------------
-
-  void push_completion(runtime::TaskFuture fut,
-                       std::function<void(bool, const std::string&)> done) {
-    {
-      std::lock_guard<std::mutex> lk(cmu);
-      completions.push_back(Completion{std::move(fut), std::move(done)});
-    }
-    ccv.notify_one();
-  }
-
-  void completion_main() {
-    for (;;) {
-      Completion c;
-      {
-        std::unique_lock<std::mutex> lk(cmu);
-        ccv.wait(lk, [this] { return cstop || !completions.empty(); });
-        if (completions.empty()) return;  // cstop and drained
-        c = std::move(completions.front());
-        completions.pop_front();
-      }
-      bool ok = true;
-      std::string err;
-      try {
-        if (c.fut.valid()) c.fut.get();
-      } catch (const std::exception& e) {
-        ok = false;
-        err = e.what();
-      }
-      c.done(ok, err);
-    }
-  }
-
-  void push_finished(uint64_t conn_id, std::vector<uint8_t> head, std::vector<uint8_t> body,
-                     bool is_error) {
-    {
-      std::lock_guard<std::mutex> lk(fmu);
-      finished.push_back(Finished{conn_id, std::move(head), std::move(body), is_error});
-    }
-    wake();
   }
 
   // ---- event loop ----------------------------------------------------------
@@ -293,6 +215,9 @@ struct NetServer::Impl {
     return !c.closing && !c.deferred && c.inflight < opt.max_inflight_per_conn;
   }
 
+  /// One pass: read and dispatch every ready frame (TCP and UDP), answer
+  /// the pass's jobs in submission order, then write every non-empty
+  /// outbox.
   void loop_main() {
     std::vector<pollfd> fds;
     std::vector<int> conn_fds;
@@ -307,7 +232,7 @@ struct NetServer::Impl {
       for (auto& [fd, conn] : conns) {
         short ev = 0;
         if (can_read(*conn)) ev |= POLLIN;
-        if (!conn->outbox.empty()) ev |= POLLOUT;
+        if (!conn->outbox.empty()) ev |= POLLOUT;  // a write that hit EAGAIN
         fds.push_back({fd, ev, 0});
         conn_fds.push_back(fd);
       }
@@ -319,42 +244,21 @@ struct NetServer::Impl {
         while (::read(wake_r, buf, sizeof(buf)) > 0) {
         }
       }
-      drain_finished();
       if (fds[1].revents & POLLIN) handle_accept();
       if (fds[2].revents & POLLIN) handle_udp();
       for (size_t i = 0; i < conn_fds.size(); ++i) {
-        const pollfd& p = fds[3 + i];
+        const short revents = fds[3 + i].revents;
         auto it = conns.find(conn_fds[i]);
         if (it == conns.end()) continue;
-        Conn* c = it->second.get();
-        if (p.revents & (POLLERR | POLLHUP)) {
-          close_conn(c->fd);
+        if (revents & (POLLERR | POLLHUP)) {
+          close_conn(conn_fds[i]);
           continue;
         }
-        if (p.revents & POLLOUT) {
-          if (!handle_write(*c)) continue;  // conn closed
-        }
-        if (p.revents & POLLIN) {
-          if (!handle_read(*c)) continue;
-        }
+        if (revents & POLLIN) handle_read(*it->second);
       }
       retry_deferred();
-      flush_closing();
-    }
-  }
-
-  void drain_finished() {
-    std::deque<Finished> batch;
-    {
-      std::lock_guard<std::mutex> lk(fmu);
-      batch.swap(finished);
-    }
-    for (Finished& f : batch) {
-      auto it = by_id.find(f.conn_id);
-      if (it == by_id.end()) continue;  // connection already gone
-      Conn& c = *it->second;
-      if (c.inflight) --c.inflight;
-      queue_segments(c, std::move(f.head), std::move(f.body), f.is_error);
+      finish_pass();
+      write_outboxes();
     }
   }
 
@@ -367,12 +271,59 @@ struct NetServer::Impl {
     }
   }
 
-  void flush_closing() {
-    std::vector<int> doomed;
+  /// get() the pass's jobs in submission order and queue their answers. By
+  /// runtime::TaskFuture's waiter-runs rule a job no shard worker has
+  /// started runs here, on the loop thread; one a worker took is waited
+  /// for while it runs there, in parallel with the jobs after it.
+  void finish_pass() {
+    for (Pending& p : pass_jobs) {
+      bool ok = true;
+      std::string err;
+      try {
+        p.fut.get();
+      } catch (const std::exception& e) {
+        ok = false;
+        err = e.what();
+      }
+      if (p.tcp)
+        finish_tcp(*p.tcp, ok, err);
+      else
+        finish_udp(*p.udp, ok);
+    }
+    pass_jobs.clear();
+  }
+
+  void finish_tcp(Req& req, bool ok, const std::string& err) {
+    auto it = by_id.find(req.conn_id);
+    if (it == by_id.end()) return;  // connection already gone
+    Conn& c = *it->second;
+    --c.inflight;
+    if (!ok) {
+      queue_frame(c, error_frame(req.rh.request_id, err), true);
+      return;
+    }
+    // The body stays where the codec wrote it; only the 56-byte header is
+    // materialized here. writev joins the two on the wire.
+    req.rh.body_crc = crc32(req.resp_body.data(), req.resp_body.size());
+    std::vector<uint8_t> head(wire::kFrameHeaderSize);
+    encode_frame_header(req.rh, head.data());
+    req.handle->note_net_request(wire::kFrameHeaderSize + req.body.size(),
+                                 head.size() + req.resp_body.size());
+    queue_segments(c, std::move(head), std::move(req.resp_body), false);
+  }
+
+  /// Write every connection with queued responses now rather than after
+  /// another poll() round for POLLOUT. The fds are collected first because
+  /// handle_write may close a connection; a closing connection whose
+  /// outbox has drained is closed here.
+  void write_outboxes() {
+    ready_fds.clear();
     for (auto& [fd, conn] : conns)
-      if (conn->closing && conn->outbox.empty() && conn->inflight == 0)
-        doomed.push_back(fd);
-    for (int fd : doomed) close_conn(fd);
+      if (!conn->outbox.empty()) ready_fds.push_back(fd);
+    for (int fd : ready_fds) {
+      Conn& c = *conns.at(fd);
+      if (handle_write(c) && c.closing && c.outbox.empty()) close_conn(fd);
+    }
   }
 
   void handle_accept() {
@@ -420,17 +371,16 @@ struct NetServer::Impl {
 
   // ---- TCP read / write ----------------------------------------------------
 
-  /// Returns false when the connection was closed.
-  bool handle_read(Conn& c) {
+  void handle_read(Conn& c) {
     while (can_read(c)) {
       if (!c.in_body) {
         const ssize_t n = ::read(c.fd, c.header_buf + c.header_got,
                                  wire::kFrameHeaderSize - c.header_got);
         if (n == 0) {
           close_conn(c.fd);
-          return false;
+          return;
         }
-        if (n < 0) return true;  // EAGAIN
+        if (n < 0) return;  // EAGAIN
         c.header_got += static_cast<size_t>(n);
         tcp_bytes_in.fetch_add(static_cast<uint64_t>(n));
         if (c.header_got < wire::kFrameHeaderSize) continue;
@@ -441,7 +391,7 @@ struct NetServer::Impl {
           // A bad header loses the framing: answer once, then close.
           queue_frame(c, error_frame(0, frame_error_name(err)), true);
           c.closing = true;
-          return true;
+          return;
         }
         if (c.header.body_size() == 0) {
           dispatch(c, c.header, {}, /*retry=*/false);
@@ -456,9 +406,9 @@ struct NetServer::Impl {
             ::read(c.fd, c.body.data() + c.body_got, c.body.size() - c.body_got);
         if (n == 0) {
           close_conn(c.fd);
-          return false;
+          return;
         }
-        if (n < 0) return true;
+        if (n < 0) return;
         c.body_got += static_cast<size_t>(n);
         tcp_bytes_in.fetch_add(static_cast<uint64_t>(n));
         if (c.body_got < c.body.size()) continue;
@@ -466,7 +416,6 @@ struct NetServer::Impl {
         dispatch(c, c.header, std::move(c.body), /*retry=*/false);
       }
     }
-    return true;
   }
 
   /// Gather every queued segment (bounded by kMaxIov) into one sendmsg
@@ -573,18 +522,23 @@ struct NetServer::Impl {
     }
 
     // Global backpressure: the pool shard's queue is full — park the parsed
-    // request (reads pause via can_read) and retry when the loop wakes.
+    // request (reads pause via can_read) and retry it every pass.
     if (handle->session().pending() >= opt.max_queue_depth) {
       if (!retry) backpressure_stalls.fetch_add(1);
       c.deferred = Deferred{h, std::move(body)};
       return;
     }
 
-    auto req = std::make_shared<Req>();
+    auto req = std::make_unique<Req>();
     req->conn_id = c.id;
     req->body = std::move(body);  // vector move keeps storage: spans stay valid
-    req->handle = *handle;
-    runtime::TaskFuture fut;
+    req->handle = handle;
+    req->rh.type = FrameType::Response;
+    req->rh.request_id = h.request_id;
+    req->rh.k = k;
+    req->rh.m = m;
+    req->rh.frag_len = h.frag_len;
+    for (const auto& p : view.payloads) req->in_ptrs.push_back(p.data());
 
     if (h.type == FrameType::EncodeRequest) {
       if (h.payload_count != k || h.present_bitmap != low_bits(k)) {
@@ -592,61 +546,31 @@ struct NetServer::Impl {
                     true);
         return;
       }
-      req->rh.type = FrameType::Response;
-      req->rh.request_id = h.request_id;
-      req->rh.k = k;
-      req->rh.m = m;
-      req->rh.frag_len = h.frag_len;
       req->rh.present_bitmap = low_bits(m) << k;
       req->rh.payload_count = static_cast<uint16_t>(m);
-      req->resp_body.resize(req->rh.body_size());
-      for (const auto& p : view.payloads) req->in_ptrs.push_back(p.data());
-      uint8_t* rb = req->resp_body.data();
-      for (uint32_t i = 0; i < m; ++i)
-        req->out_ptrs.push_back(rb + static_cast<size_t>(i) * h.frag_len);
-      fut = handle->encode(req->in_ptrs.data(), req->out_ptrs.data(), h.frag_len);
     } else {
       if (view.erased_ids.empty()) {
         queue_frame(c, error_frame(h.request_id, "reconstruct request names no erased ids"),
                     true);
         return;
       }
-      req->avail_ids = view.present_ids;
-      req->erased_ids = view.erased_ids;
-      req->rh.type = FrameType::Response;
-      req->rh.request_id = h.request_id;
-      req->rh.k = k;
-      req->rh.m = m;
-      req->rh.frag_len = h.frag_len;
       req->rh.present_bitmap = h.erased_bitmap;
-      req->rh.payload_count = static_cast<uint16_t>(req->erased_ids.size());
-      req->resp_body.resize(req->rh.body_size());
-      for (const auto& p : view.payloads) req->in_ptrs.push_back(p.data());
-      uint8_t* rb = req->resp_body.data();
-      for (size_t i = 0; i < req->erased_ids.size(); ++i)
-        req->out_ptrs.push_back(rb + i * h.frag_len);
-      // Plan-less path: the plan lookup is memoized inside the job and an
-      // unrecoverable pattern surfaces via the future as an Error frame.
-      fut = handle->rebuild(req->avail_ids, req->in_ptrs.data(), req->erased_ids,
-                            req->out_ptrs.data(), h.frag_len);
+      req->rh.payload_count = static_cast<uint16_t>(view.erased_ids.size());
     }
+    req->resp_body.resize(req->rh.body_size());
+    for (uint16_t i = 0; i < req->rh.payload_count; ++i)
+      req->out_ptrs.push_back(req->resp_body.data() + static_cast<size_t>(i) * h.frag_len);
+    // Plan-less rebuild: the plan lookup is memoized inside the job and an
+    // unrecoverable pattern surfaces via the future as an Error frame.
+    runtime::TaskFuture fut =
+        h.type == FrameType::EncodeRequest
+            ? handle->encode(req->in_ptrs.data(), req->out_ptrs.data(), h.frag_len)
+            : handle->rebuild(view.present_ids, req->in_ptrs.data(), view.erased_ids,
+                              req->out_ptrs.data(), h.frag_len);
 
     requests.fetch_add(1);
     ++c.inflight;
-    const uint64_t bytes_in = wire::kFrameHeaderSize + req->body.size();
-    push_completion(std::move(fut), [this, req, bytes_in](bool ok, const std::string& emsg) {
-      if (ok) {
-        // The body stays where the codec wrote it; only the 56-byte header
-        // is materialized here. writev joins the two on the wire.
-        req->rh.body_crc = crc32(req->resp_body.data(), req->rh.body_size());
-        std::vector<uint8_t> head(wire::kFrameHeaderSize);
-        encode_frame_header(req->rh, head.data());
-        req->handle->note_net_request(bytes_in, head.size() + req->resp_body.size());
-        push_finished(req->conn_id, std::move(head), std::move(req->resp_body), false);
-      } else {
-        push_finished(req->conn_id, error_frame(req->rh.request_id, emsg), {}, true);
-      }
-    });
+    pass_jobs.push_back(Pending{std::move(fut), std::move(req), nullptr});
   }
 
   // ---- UDP path ------------------------------------------------------------
@@ -666,7 +590,6 @@ struct NetServer::Impl {
   }
 
   void send_ack(const sockaddr_in& to, const GroupAck& ack, uint32_t k, uint32_t m) {
-    // Called from both threads; sendto on one fd is thread-safe.
     const std::vector<uint8_t> packet = build_ack_packet(ack, k, m);
     (void)::sendto(udp_fd, packet.data(), packet.size(), 0,
                    reinterpret_cast<const sockaddr*>(&to), sizeof(to));
@@ -674,72 +597,71 @@ struct NetServer::Impl {
 
   void handle_group(StripeGroup&& group, const sockaddr_in& from) {
     udp_groups.fetch_add(1);
-    auto g = std::make_shared<StripeGroup>(std::move(group));
-    GroupAck ack;
-    ack.group = g->group;
-    ack.strips_received = g->strips_received;
+    auto job = std::make_unique<UdpJob>();
+    job->g = std::move(group);
+    job->to = from;
+    const StripeGroup& g = job->g;
+    GroupAck& ack = job->ack;
+    ack.group = g.group;
+    ack.strips_received = g.strips_received;
 
     std::string err;
-    ServiceHandle* handle =
-        g->spec.empty() ? nullptr : handle_for(g->spec, err);
+    ServiceHandle* handle = g.spec.empty() ? nullptr : handle_for(g.spec, err);
     if (!handle) {
-      ack.status = g->strips_received == 0 ? GroupAck::kUnrecoverable : GroupAck::kError;
+      ack.status = g.strips_received == 0 ? GroupAck::kUnrecoverable : GroupAck::kError;
       if (ack.status == GroupAck::kUnrecoverable) udp_unrecoverable.fetch_add(1);
-      send_ack(from, ack, g->k, g->m);
+      send_ack(from, ack, g.k, g.m);
       return;
     }
     const Codec& codec = handle->codec();
-    if (g->frag_len == 0 || codec.data_fragments() != g->k ||
-        codec.parity_fragments() != g->m || g->frag_len % codec.fragment_multiple() != 0) {
-      ack.status = g->strips_received == 0 ? GroupAck::kUnrecoverable : GroupAck::kError;
+    if (g.frag_len == 0 || codec.data_fragments() != g.k ||
+        codec.parity_fragments() != g.m || g.frag_len % codec.fragment_multiple() != 0) {
+      ack.status = g.strips_received == 0 ? GroupAck::kUnrecoverable : GroupAck::kError;
       if (ack.status == GroupAck::kUnrecoverable) udp_unrecoverable.fetch_add(1);
-      send_ack(from, ack, g->k, g->m);
+      send_ack(from, ack, g.k, g.m);
       return;
     }
 
-    const std::vector<uint32_t> missing = g->missing_data();
+    const std::vector<uint32_t> missing = g.missing_data();
     if (missing.empty()) {
       ack.status = GroupAck::kComplete;
-      send_ack(from, ack, g->k, g->m);
+      send_ack(from, ack, g.k, g.m);
       return;
     }
 
-    const std::vector<uint32_t> available = g->present_ids();
+    const std::vector<uint32_t> available = g.present_ids();
     std::shared_ptr<const ReconstructPlan> plan;
     try {
       plan = handle->plan_reconstruct(available, missing);
     } catch (const std::exception&) {
       ack.status = GroupAck::kUnrecoverable;
       udp_unrecoverable.fetch_add(1);
-      send_ack(from, ack, g->k, g->m);
+      send_ack(from, ack, g.k, g.m);
       return;
     }
 
     udp_degraded.fetch_add(1);
-    auto job = std::make_shared<UdpJob>();
-    job->g = g;
-    job->to = from;
-    job->ack = ack;
-    job->ack.strips_reconstructed = static_cast<uint32_t>(missing.size());
-    job->ack.status = GroupAck::kComplete;
-    job->handle = *handle;
-    for (uint32_t id : available) job->in_ptrs.push_back(g->slot(id));
-    for (uint32_t id : missing) job->out_ptrs.push_back(g->slot(id));
+    ack.strips_reconstructed = static_cast<uint32_t>(missing.size());
+    ack.status = GroupAck::kComplete;
+    job->handle = handle;
+    for (uint32_t id : available) job->in_ptrs.push_back(job->g.slot(id));
+    for (uint32_t id : missing) job->out_ptrs.push_back(job->g.slot(id));
     runtime::TaskFuture fut = handle->reconstruct(plan, job->in_ptrs.data(),
-                                                  job->out_ptrs.data(), g->frag_len);
-    push_completion(std::move(fut), [this, job](bool ok, const std::string&) {
-      GroupAck a = job->ack;
-      if (!ok) {
-        a.status = GroupAck::kError;
-        a.strips_reconstructed = 0;
-      } else {
-        const StripeGroup& sg = *job->g;
-        job->handle->note_net_request(
-            static_cast<uint64_t>(sg.strips_received) * sg.frag_len,
-            static_cast<uint64_t>(a.strips_reconstructed) * sg.frag_len);
-      }
-      send_ack(job->to, a, job->g->k, job->g->m);
-    });
+                                                  job->out_ptrs.data(), g.frag_len);
+    pass_jobs.push_back(Pending{std::move(fut), nullptr, std::move(job)});
+  }
+
+  void finish_udp(UdpJob& job, bool ok) {
+    const StripeGroup& g = job.g;
+    if (!ok) {
+      job.ack.status = GroupAck::kError;
+      job.ack.strips_reconstructed = 0;
+    } else {
+      job.handle->note_net_request(
+          static_cast<uint64_t>(g.strips_received) * g.frag_len,
+          static_cast<uint64_t>(job.ack.strips_reconstructed) * g.frag_len);
+    }
+    send_ack(job.to, job.ack, g.k, g.m);
   }
 };
 

@@ -1,46 +1,50 @@
 // NetServer: the serving front-end — a poll()-driven event loop that turns
-// wire frames into CodecService work without ever blocking network I/O on
-// codec execution.
+// wire frames into CodecService work on one thread.
 //
-// Threading model (two threads, one direction of flow each):
+// Each poll() pass runs to completion on the loop thread:
 //
-//   event-loop thread                completion thread
-//   -----------------                -----------------
-//   accept / read frames             waits on submitted futures in FIFO
-//   validate + submit to service --> {future, finalize-callback}
-//   write queued responses       <-- finalized response pushed to the
-//   send queued UDP acks             loop's completed-queue + wake pipe
+//   1. accept; read every ready frame, TCP and UDP, and submit each job
+//      through a shared ServiceHandle (dispatch);
+//   2. get() the pass's jobs in submission order — by runtime::TaskFuture's
+//      waiter-runs rule a job no shard worker has started runs right here,
+//      and one a worker already took runs there in parallel while the loop
+//      waits;
+//   3. finalize each response (body CRC + 56-byte header) and queue it, send
+//      UDP acks;
+//   4. write every connection with queued responses, without a further
+//      poll() round for POLLOUT.
 //
-// The completion thread get()s the futures in FIFO order; a head job that
-// no shard worker has started yet runs on the completion thread itself
-// (runtime::TaskFuture's waiter-runs rule), so a busy shard worker does
-// not hold back the response at the head of the line.
+// A request therefore costs no thread hand-off when the loop runs its job,
+// and one (the worker's) when a shard worker got there first. A response
+// waits only for the jobs submitted before it in its pass. The price:
+// while the loop thread runs a job, it reads no new frame, so reads and
+// pings on other connections wait for the pass's jobs to end.
 //
 // The loop parses a request, points the codec DIRECTLY at the receive
 // buffer (FrameView payload spans) and at the preallocated response frame
 // (parity/rebuilt strips are computed in place in the bytes that will be
-// written to the socket), submits through a shared ServiceHandle, and goes
-// back to polling. Each connection runs a state machine
+// written to the socket). Each connection runs a state machine
 // reading-header -> reading-body -> (executing on the service) -> writing;
-// because responses carry the request id, a connection may have several
-// requests in flight and receive responses out of order.
+// responses carry the request id, and a connection may pipeline several
+// requests into one pass.
 //
 // Flow control, two levels:
-//   per-connection: at most max_inflight_per_conn submitted-but-unanswered
-//     requests; beyond that the loop stops POLLIN-ing that socket (TCP
-//     backpressure reaches the peer).
+//   per-connection: at most max_inflight_per_conn requests submitted per
+//     pass; beyond that the loop stops reading that socket until the pass
+//     ends (TCP backpressure reaches the peer).
 //   global: before submitting, the loop checks the pool shard's queue depth
 //     (BatchCoder::pending(), i.e. TaskQueue::depth()); at max_queue_depth
 //     the parsed request parks in the connection's deferred slot and reads
-//     pause until the queue drains — counted in stats().backpressure_stalls.
+//     pause until a later pass finds room — counted in
+//     stats().backpressure_stalls.
 //
 // The UDP socket shares the loop: strip packets feed a per-peer
 // GroupAssembler; a completed group with losses takes the same
-// plan_reconstruct degraded-read path (submitted, not inline), and the
-// receipt (GroupAck) is sent when the rebuild lands. This is how cluster
-// repair traffic is served over the wire: a repair client ships survivor
-// strips in a ReconstructRequest (or strip packets) and gets rebuilt strips
-// back.
+// plan_reconstruct degraded-read path (submitted with the pass's other
+// jobs), and the receipt (GroupAck) is sent when the rebuild lands. This
+// is how cluster repair traffic is served over the wire: a repair client
+// ships survivor strips in a ReconstructRequest (or strip packets) and gets
+// rebuilt strips back.
 #pragma once
 
 #include <cstddef>
@@ -94,7 +98,8 @@ class NetServer {
   NetServer& operator=(const NetServer&) = delete;
 
   void start();
-  /// Stops accepting, drains in-flight service jobs, joins both threads.
+  /// Stops accepting, lets the current pass finish its jobs, joins the loop
+  /// thread and closes every connection. start() may follow.
   void stop();
 
   uint16_t tcp_port() const;

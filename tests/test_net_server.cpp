@@ -4,16 +4,21 @@
 // requests come back as clean Error frames on a connection that stays
 // usable, the per-pool ServiceStats net counters see the traffic, and a
 // client whose peer closed or stopped reading throws instead of dying of
-// SIGPIPE or hanging.
+// SIGPIPE or hanging. The server runs on one thread, answers a pipelined
+// burst of frames in full, and stops cleanly under traffic.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <future>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -24,6 +29,7 @@
 #include "api/service.hpp"
 #include "net/client.hpp"
 #include "net/datagram.hpp"
+#include "net/frame.hpp"
 #include "net/server.hpp"
 
 using namespace xorec;
@@ -35,9 +41,9 @@ constexpr uint32_t kK = 6, kM = 4;
 constexpr size_t kFragLen = 1024;
 const char* kSpec = "rs(6,4)";
 
-std::vector<std::vector<uint8_t>> make_data() {
+std::vector<std::vector<uint8_t>> make_data(uint64_t seed = 0xBEEF) {
   std::vector<std::vector<uint8_t>> data(kK, std::vector<uint8_t>(kFragLen));
-  uint64_t x = 0xBEEF;
+  uint64_t x = seed;
   for (auto& frag : data)
     for (auto& b : frag) {
       x ^= x << 13;
@@ -88,12 +94,12 @@ TEST(NetServer, PortsAreBoundBeforeStart) {
 }
 
 TEST(NetServer, RestartedServerStillDeliversResponses) {
-  // Regression: stop() latches the completion-thread stop flag; before
-  // start() learned to reset it, a restarted server's completion thread
-  // exited immediately and encode responses were never delivered. Ping is
-  // answered inline by the event loop, so only a codec request (whose
-  // response rides the completion thread) can detect this — run it with a
-  // timeout so a regressed build fails instead of hanging forever.
+  // Regression: a restarted server once accepted connections but never
+  // delivered encode responses, because stop() left state behind that the
+  // next start() did not reset. Ping is answered inline by the event loop,
+  // so only a codec request (whose response waits on a service job) can
+  // detect this — run it with a timeout so a regressed build fails instead
+  // of hanging forever.
   CodecService service;
   NetServer server(service, {});
   server.start();
@@ -129,7 +135,7 @@ TEST(NetServer, RestartedServerStillDeliversResponses) {
 
   if (fut.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
     ADD_FAILURE() << "encode against a restarted server never completed "
-                     "(completion thread dead?)";
+                     "(restarted loop never answers codec jobs?)";
     server.stop();  // closes the connection; the client throws and the thread ends
     (void)fut.wait_for(std::chrono::seconds(10));
     return;
@@ -368,4 +374,276 @@ TEST(NetServer, UdpGroupsAreServedOnTheSharedSocket) {
   EXPECT_EQ(stats.udp_groups, static_cast<size_t>(kStripes));
   EXPECT_EQ(stats.udp_unrecoverable, 0u);
   EXPECT_GE(stats.udp_degraded_reads, static_cast<size_t>(degraded));
+}
+
+namespace {
+
+size_t thread_count() {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& e : std::filesystem::directory_iterator("/proc/self/task"))
+    ++n;
+  return n;
+}
+
+/// One rs(6,4) stripe: seeded data plus its locally encoded parity, so
+/// fragment id i is frag(i) whether it is data or parity.
+struct Stripe {
+  std::vector<std::vector<uint8_t>> data, parity;
+  explicit Stripe(uint64_t seed)
+      : data(make_data(seed)), parity(kM, std::vector<uint8_t>(kFragLen)) {
+    std::vector<const uint8_t*> in(kK);
+    std::vector<uint8_t*> out(kM);
+    for (uint32_t i = 0; i < kK; ++i) in[i] = data[i].data();
+    for (uint32_t i = 0; i < kM; ++i) out[i] = parity[i].data();
+    make_codec(kSpec)->encode(in.data(), out.data(), kFragLen);
+  }
+  const std::vector<uint8_t>& frag(uint32_t id) const {
+    return id < kK ? data[id] : parity[id - kK];
+  }
+};
+
+/// A blocking loopback TCP socket that speaks raw frames, with a receive
+/// timeout so a missing response fails the test instead of hanging it.
+struct RawConn {
+  int fd = -1;
+  explicit RawConn(uint16_t port) {
+    fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in sa{};
+    sa.sin_family = AF_INET;
+    sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    sa.sin_port = htons(port);
+    if (fd < 0 || ::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0)
+      throw std::runtime_error("RawConn: connect failed");
+    timeval tv{5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
+  ~RawConn() { ::close(fd); }
+  void send_all(const std::vector<uint8_t>& bytes) {
+    for (size_t off = 0; off < bytes.size();) {
+      const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+      if (n <= 0) throw std::runtime_error("RawConn: send failed");
+      off += static_cast<size_t>(n);
+    }
+  }
+  void recv_exact(uint8_t* out, size_t len) {
+    for (size_t off = 0; off < len;) {
+      const ssize_t n = ::recv(fd, out + off, len - off, 0);
+      if (n <= 0) throw std::runtime_error("RawConn: peer closed or receive timed out");
+      off += static_cast<size_t>(n);
+    }
+  }
+  /// One response frame; `body` holds the bytes the view points into.
+  FrameView recv_frame(std::vector<uint8_t>& body) {
+    uint8_t head[wire::kFrameHeaderSize];
+    recv_exact(head, sizeof(head));
+    FrameHeader h;
+    if (decode_frame_header(head, sizeof(head), h) != FrameError::Ok)
+      throw std::runtime_error("RawConn: bad response header");
+    body.resize(h.body_size());
+    recv_exact(body.data(), body.size());
+    FrameView view;
+    if (bind_frame_body(h, body.data(), body.size(), view) != FrameError::Ok)
+      throw std::runtime_error("RawConn: bad response body");
+    return view;
+  }
+};
+
+std::vector<uint8_t> encode_frame(uint64_t id, const Stripe& s) {
+  FrameHeader h;
+  h.type = FrameType::EncodeRequest;
+  h.request_id = id;
+  h.frag_len = kFragLen;
+  h.present_bitmap = (uint64_t{1} << kK) - 1;
+  h.payload_count = kK;
+  std::vector<const uint8_t*> in(kK);
+  for (uint32_t i = 0; i < kK; ++i) in[i] = s.data[i].data();
+  return build_frame(h, kSpec, in.data());
+}
+
+std::vector<uint8_t> reconstruct_frame(uint64_t id, const Stripe& s,
+                                       const std::vector<uint32_t>& available,
+                                       const std::vector<uint32_t>& erased) {
+  FrameHeader h;
+  h.type = FrameType::ReconstructRequest;
+  h.request_id = id;
+  h.frag_len = kFragLen;
+  std::vector<const uint8_t*> in;
+  for (uint32_t a : available) {  // ascending, as build_frame gathers them
+    h.present_bitmap |= uint64_t{1} << a;
+    in.push_back(s.frag(a).data());
+  }
+  for (uint32_t e : erased) h.erased_bitmap |= uint64_t{1} << e;
+  h.payload_count = static_cast<uint16_t>(available.size());
+  return build_frame(h, kSpec, in.data());
+}
+
+std::vector<uint32_t> survivors_of(const std::vector<uint32_t>& erased) {
+  std::vector<uint32_t> out;
+  for (uint32_t id = 0; id < kK + kM; ++id)
+    if (std::find(erased.begin(), erased.end(), id) == erased.end()) out.push_back(id);
+  return out;
+}
+
+}  // namespace
+
+TEST(NetServer, StartAddsExactlyOneThread) {
+  // The event loop runs every pass's jobs itself: start() adds the loop
+  // thread and nothing else. Another test's detached client thread may end
+  // while this one counts, so retry until a start/stop cycle leaves the
+  // count where it began.
+  CodecService service;  // its shard workers start here, not in start()
+  NetServer server(service, {});
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    const size_t before = thread_count();
+    server.start();
+    const size_t running = thread_count();
+    server.stop();
+    if (thread_count() != before) continue;
+    EXPECT_EQ(running, before + 1) << "threads added by NetServer::start()";
+    return;
+  }
+  FAIL() << "the process's thread count never settled";
+}
+
+TEST(NetServer, PipelinedFramesInOnePassAreAllAnswered) {
+  // max_inflight_per_conn mixed requests written back to back, so one poll
+  // pass can read and submit them all; the unrecoverable pattern in the
+  // middle must come back as an Error frame without costing its neighbours
+  // their answers, and the connection must keep serving afterwards.
+  ServerFixture fx;
+  const size_t n = ServerOptions{}.max_inflight_per_conn;
+  ASSERT_GE(n, 4u);
+  const uint64_t bad_id = n / 2;
+  const std::vector<std::vector<uint32_t>> patterns = {{0, 3}, {1, 7}, {2, 4, 5, 9}};
+
+  std::vector<Stripe> stripes;
+  std::map<uint64_t, std::vector<uint32_t>> expect;  // id -> fragment ids answered
+  std::vector<uint8_t> wire;
+  for (uint64_t id = 1; id <= n; ++id) {
+    stripes.emplace_back(0x1000 + id);
+    const Stripe& s = stripes.back();
+    std::vector<uint8_t> frame;
+    if (id == bad_id) {
+      // five erasures with one survivor: beyond any rs(6,4) pattern
+      frame = reconstruct_frame(id, s, {5}, {0, 1, 2, 3, 4});
+    } else if (id % 2) {
+      frame = encode_frame(id, s);
+      for (uint32_t p = 0; p < kM; ++p) expect[id].push_back(kK + p);
+    } else {
+      const std::vector<uint32_t>& erased = patterns[id % patterns.size()];
+      frame = reconstruct_frame(id, s, survivors_of(erased), erased);
+      expect[id] = erased;
+    }
+    wire.insert(wire.end(), frame.begin(), frame.end());
+  }
+
+  RawConn conn(fx.server.tcp_port());
+  conn.send_all(wire);
+  std::map<uint64_t, int> seen;
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<uint8_t> body;
+    const FrameView v = conn.recv_frame(body);
+    const uint64_t id = v.header.request_id;
+    ASSERT_TRUE(id >= 1 && id <= n) << "response id " << id;
+    ++seen[id];
+    if (id == bad_id) {
+      EXPECT_EQ(v.header.type, FrameType::Error);
+      continue;
+    }
+    ASSERT_EQ(v.header.type, FrameType::Response) << "id " << id << ": " << v.spec;
+    const std::vector<uint32_t>& ids = expect.at(id);
+    ASSERT_EQ(v.payloads.size(), ids.size()) << "id " << id;
+    for (size_t j = 0; j < ids.size(); ++j) {
+      const std::vector<uint8_t>& want = stripes[id - 1].frag(ids[j]);
+      EXPECT_TRUE(std::equal(want.begin(), want.end(), v.payloads[j].begin(),
+                             v.payloads[j].end()))
+          << "id " << id << " fragment " << ids[j];
+    }
+  }
+  for (uint64_t id = 1; id <= n; ++id) EXPECT_EQ(seen[id], 1) << "responses for id " << id;
+
+  // The connection still serves: one more encode on it, checked byte for byte.
+  const Stripe again(0x2000);
+  conn.send_all(encode_frame(n + 1, again));
+  std::vector<uint8_t> body;
+  const FrameView v = conn.recv_frame(body);
+  EXPECT_EQ(v.header.type, FrameType::Response);
+  EXPECT_EQ(v.header.request_id, n + 1);
+  ASSERT_EQ(v.payloads.size(), kM);
+  for (uint32_t p = 0; p < kM; ++p)
+    EXPECT_TRUE(std::equal(again.parity[p].begin(), again.parity[p].end(),
+                           v.payloads[p].begin(), v.payloads[p].end()))
+        << "parity " << p;
+  EXPECT_GE(fx.server.stats().errors, 1u);
+}
+
+TEST(NetServer, StopWithTrafficInFlightReturns) {
+  // Two clients encode in a loop while the server stops under them. stop()
+  // must return, and each client must see a correct response or an
+  // exception (its connection closed), never a hang. The shared state lets
+  // a regressed build fail here with its threads detached rather than
+  // blocking the suite.
+  struct Shared {
+    CodecService service;
+    NetServer server{service, {}};
+    Stripe stripe{0xC0FFEE};
+    std::atomic<size_t> answered[2]{};
+    std::atomic<bool> wrong_bytes{false};
+  };
+  auto sh = std::make_shared<Shared>();
+  sh->server.start();
+  const uint16_t port = sh->server.tcp_port();
+
+  std::vector<std::future<void>> clients;
+  std::vector<std::thread> threads;
+  for (int c = 0; c < 2; ++c) {
+    auto done = std::make_shared<std::promise<void>>();
+    clients.push_back(done->get_future());
+    threads.emplace_back([sh, done, port, c] {
+      try {
+        // A long client timeout: only the server closing the connection
+        // ends the loop in time.
+        Client client("127.0.0.1", port, /*timeout_ms=*/60000);
+        std::vector<const uint8_t*> in(kK);
+        for (uint32_t i = 0; i < kK; ++i) in[i] = sh->stripe.data[i].data();
+        std::vector<std::vector<uint8_t>> out(kM, std::vector<uint8_t>(kFragLen));
+        std::vector<uint8_t*> out_ptrs(kM);
+        for (uint32_t i = 0; i < kM; ++i) out_ptrs[i] = out[i].data();
+        for (;;) {
+          client.encode(kSpec, in.data(), kK, out_ptrs.data(), kM, kFragLen);
+          if (out != sh->stripe.parity) sh->wrong_bytes = true;
+          sh->answered[c].fetch_add(1);
+        }
+      } catch (const std::exception&) {
+      }
+      done->set_value();
+    });
+  }
+
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((sh->answered[0] < 8 || sh->answered[1] < 8) &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_GE(sh->answered[0].load(), 8u);
+  EXPECT_GE(sh->answered[1].load(), 8u);
+
+  auto stop_done = std::make_shared<std::promise<void>>();
+  std::future<void> stopped = stop_done->get_future();
+  threads.emplace_back([sh, stop_done] {
+    sh->server.stop();
+    stop_done->set_value();
+  });
+  bool hung = stopped.wait_for(std::chrono::seconds(10)) != std::future_status::ready;
+  EXPECT_FALSE(hung) << "stop() did not return with traffic in flight";
+  for (int c = 0; c < 2 && !hung; ++c) {
+    hung = clients[c].wait_for(std::chrono::seconds(10)) != std::future_status::ready;
+    EXPECT_FALSE(hung) << "client " << c << " neither answered nor failed after stop()";
+  }
+  EXPECT_FALSE(sh->wrong_bytes.load());
+  for (std::thread& t : threads) {
+    if (hung)
+      t.detach();  // leave the shared state to the stuck threads
+    else
+      t.join();
+  }
 }

@@ -409,6 +409,41 @@ TEST(ObsMetrics, ServiceFamilyNamesArePinned) {
   EXPECT_EQ(families, kServiceFamilies);
 }
 
+// The families /metrics renders for an attached NetServer, sorted: every
+// NetServerStats field, all rendered even before the first connection.
+const std::vector<std::string> kNetServerFamilies = {
+    "xorec_net_backpressure_stalls_total",
+    "xorec_net_connections_accepted_total",
+    "xorec_net_connections_open",
+    "xorec_net_errors_total",
+    "xorec_net_gather_bytes_saved_total",
+    "xorec_net_requests_total",
+    "xorec_net_responses_total",
+    "xorec_net_tcp_bytes_in_total",
+    "xorec_net_tcp_bytes_out_total",
+    "xorec_net_udp_degraded_reads_total",
+    "xorec_net_udp_groups_total",
+    "xorec_net_udp_unrecoverable_total",
+    "xorec_net_writev_calls_total",
+    "xorec_net_writev_segments_total",
+};
+
+TEST(ObsMetrics, NetServerFamilyNamesArePinned) {
+  CodecService service(isolated());
+  net::NetServer server(service, {});
+  server.start();
+  net::Client client("127.0.0.1", server.tcp_port());
+  client.ping();
+
+  MetricsRegistry registry;
+  registry.attach(server);
+  std::vector<std::string> families;
+  for (const auto& [name, values] : parse_prometheus(render_prometheus(registry.collect())))
+    families.push_back(name);
+  EXPECT_EQ(families, kNetServerFamilies);
+  server.stop();
+}
+
 // ---- depth-driven placement -------------------------------------------------
 
 namespace {
