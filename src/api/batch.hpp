@@ -4,10 +4,12 @@
 // cannot express "repair a million stripes"; a session can. Jobs are
 // submitted (returning a runtime::TaskFuture, std::future<void>'s surface)
 // and started FIFO by a dedicated runtime::TaskQueue worker group —
-// stripe-level parallelism; each job runs on one thread — and flush() (or
-// the destructor) is the completion barrier. A caller that wait()s or
-// get()s a job no worker has started yet runs it on its own thread, so a
-// lone caller never waits for a worker hand-off.
+// stripe-level parallelism — and flush() (or the destructor) is the
+// completion barrier. A caller that wait()s or get()s a job no worker has
+// started yet runs it on its own thread, so a lone caller never waits for a
+// worker hand-off. A job over a large stripe also lends its block rows to
+// the session's idle workers (runtime/executor.hpp), so a lone caller's
+// 10 MiB encode runs on the caller and a worker at once.
 //
 //   xorec::BatchCoder batch("rs(10,4)@block=1024,batch=8");
 //   auto plan = batch.codec().plan_reconstruct(available_ids, erased_ids);

@@ -8,7 +8,8 @@
 //   2. get() the pass's jobs in submission order — by runtime::TaskFuture's
 //      waiter-runs rule a job no shard worker has started runs right here,
 //      and one a worker already took runs there in parallel while the loop
-//      waits;
+//      waits (a large job the loop runs lends row parts to idle shard
+//      workers, runtime/executor.hpp);
 //   3. finalize each response (body CRC + 56-byte header) and queue it, send
 //      UDP acks;
 //   4. write every connection with queued responses, without a further

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "runtime/task_queue.hpp"
+
 namespace xorec::runtime {
 
 const char* exec_backend_name(ExecBackend b) {
@@ -119,17 +121,44 @@ void Executor::run_blocks(const uint8_t* const* inputs, uint8_t* const* outputs,
   }
 }
 
-void Executor::run(const uint8_t* const* inputs, uint8_t* const* outputs,
-                   size_t strip_len) const {
-  if (strip_len == 0 || prog_.ops.empty()) return;
+void Executor::run_part(const uint8_t* const* inputs, uint8_t* const* outputs, size_t off,
+                        size_t len) const {
   auto s = acquire_scratch();
   try {
-    run_blocks(inputs, outputs, strip_len, *s);
+    for (size_t i = 0; i < prog_.num_inputs; ++i) s->part_in[i] = inputs[i] + off;
+    for (size_t i = 0; i < prog_.num_outputs; ++i) s->part_out[i] = outputs[i] + off;
+    run_blocks(s->part_in.data(), s->part_out.data(), len, *s);
   } catch (...) {
     release_scratch(std::move(s));
     throw;
   }
   release_scratch(std::move(s));
+}
+
+void Executor::run(const uint8_t* const* inputs, uint8_t* const* outputs,
+                   size_t strip_len) const {
+  if (strip_len == 0 || prog_.ops.empty()) return;
+  if (TaskQueue* const queue = TaskQueue::current()) {
+    const size_t B = opt_.block_size;
+    const size_t first = first_block_len(B, strip_len, {inputs, prog_.num_inputs},
+                                         {outputs, prog_.num_outputs}, strip_refs_);
+    const size_t rows = strip_len <= first ? 1 : 1 + (strip_len - first + B - 1) / B;
+    const size_t parts = std::min(kMaxSplitParts, rows / kMinSplitRows);
+    if (parts >= 2) {
+      // Part p runs rows [p·rows/parts, (p+1)·rows/parts). A part past row 0
+      // starts on a line-aligned row, so its own first_block_len is B and
+      // the grid is the unsplit one.
+      const auto row_start = [&](size_t r) {
+        return r == 0 ? 0 : std::min(strip_len, first + (r - 1) * B);
+      };
+      queue->run_parts(parts, [&](size_t p) {
+        const size_t lo = row_start(p * rows / parts), hi = row_start((p + 1) * rows / parts);
+        run_part(inputs, outputs, lo, hi - lo);
+      });
+      return;
+    }
+  }
+  run_part(inputs, outputs, 0, strip_len);
 }
 
 }  // namespace xorec::runtime

@@ -1,8 +1,17 @@
 // The blocked SLP execution engine (§6.1): runs a compiled program over
 // strips in B-byte blocks so all the pebbles of one iteration stay
-// cache-resident. One call runs on the calling thread; parallelism comes
-// from running whole stripes concurrently (BatchCoder / CodecService), each
-// caller on its own scratch.
+// cache-resident. Every row of blocks is independent of every other, so a
+// range of rows is an exact sub-problem.
+//
+// Who runs a call: outside any TaskQueue task (a direct Codec::encode or
+// plan->execute) the calling thread runs every row. Inside one (a shard
+// worker, a waiter that claimed its own job, NetServer's loop thread) a call
+// of at least 2 × kMinSplitRows rows is cut into up to kMaxSplitParts
+// row-range parts, and TaskQueue::run_parts lets that queue's idle workers
+// take parts beside the running thread. Each part runs the same row loop on
+// strip pointers shifted to its first row, with its own scratch from the
+// freelist; parts never split again. Whole stripes still run concurrently
+// (BatchCoder / CodecService), each caller on its own scratch.
 //
 // The row grid is cache-line aware (§7.4, runtime/aligned_buffer.hpp): when
 // a strip spans several blocks and B is a multiple of 64, the first row is
@@ -67,6 +76,12 @@ struct ScratchStats {
 /// observed, so a burst of callers cannot permanently pin burst-many arenas.
 class Executor {
  public:
+  /// A call inside a TaskQueue task splits when it has at least twice this
+  /// many rows, into at most kMaxSplitParts parts of at least this many
+  /// rows each (measured through a one-worker CodecService; CHANGES.md).
+  static constexpr size_t kMinSplitRows = 8;
+  static constexpr size_t kMaxSplitParts = 8;
+
   Executor(ExecProgram program, ExecOptions opt = {});
 
   const ExecProgram& program() const { return prog_; }
@@ -86,21 +101,28 @@ class Executor {
   /// inputs:  num_inputs strip pointers, each strip_len bytes.
   /// outputs: num_outputs strip pointers, each strip_len bytes.
   /// Any strip_len is accepted (the first row may be peeled and the last
-  /// one short; see the grid note at the top of this file).
+  /// one short; see the grid note at the top of this file). A large call
+  /// inside a TaskQueue task may run partly on that queue's workers (see
+  /// the top of this file); it returns when every row is written.
   void run(const uint8_t* const* inputs, uint8_t* const* outputs, size_t strip_len) const;
 
  private:
   /// One caller's private pebble storage, plus the interpreter's source
-  /// pointer array or the lowered backend's slot and argument tables, so
-  /// run() never allocates.
+  /// pointer array or the lowered backend's slot and argument tables, and
+  /// the caller strip pointers shifted to a part's first row, so run() and
+  /// every part never allocate.
   struct Scratch {
     StripArena arena;
     std::vector<uint8_t*> ptrs;
     std::vector<const uint8_t*> srcs;
     std::unique_ptr<LoweredProgram::State> lowered_state;
+    std::vector<const uint8_t*> part_in;
+    std::vector<uint8_t*> part_out;
     Scratch(const ExecProgram& prog, const ExecOptions& opt, const LoweredProgram* lp)
         : arena(prog.num_scratch, opt.block_size, opt.block_size, opt.stagger_scratch),
-          ptrs(arena.pointers()) {
+          ptrs(arena.pointers()),
+          part_in(prog.num_inputs),
+          part_out(prog.num_outputs) {
       if (lp)
         lowered_state = std::make_unique<LoweredProgram::State>(*lp);
       else
@@ -110,6 +132,9 @@ class Executor {
 
   void run_blocks(const uint8_t* const* inputs, uint8_t* const* outputs, size_t strip_len,
                   Scratch& scratch) const;
+  /// run_blocks over strip bytes [off, off + len) on freelist scratch.
+  void run_part(const uint8_t* const* inputs, uint8_t* const* outputs, size_t off,
+                size_t len) const;
   std::unique_ptr<Scratch> acquire_scratch() const;
   void release_scratch(std::unique_ptr<Scratch> s) const;
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <new>
+#include <utility>
 
 namespace xorec::runtime {
 
@@ -14,7 +16,8 @@ namespace detail {
 struct TaskState {
   enum Phase : int { kQueued, kRunning, kDone };
 
-  TaskState(std::function<void()> f, TaskQueue* q) : fn(std::move(f)), queue(q) {}
+  TaskState(std::function<void()> f, TaskQueue* q, bool j)
+      : fn(std::move(f)), queue(q), job(j) {}
 
   bool claim() {
     int expected = kQueued;
@@ -24,6 +27,7 @@ struct TaskState {
 
   std::function<void()> fn;
   TaskQueue* queue;  // outlives the task: ~TaskQueue waits until it is done
+  bool job;          // counts in pending_ (a run_parts helper does not)
   std::atomic<int> phase{kQueued};
   std::exception_ptr error;  // written by the runner before phase = kDone
   std::mutex mu;             // pairs with cv for waiters on a running task
@@ -33,6 +37,10 @@ struct TaskState {
 }  // namespace detail
 
 using detail::TaskState;
+
+namespace {
+thread_local TaskQueue* t_current = nullptr;
+}
 
 // ---- TaskFuture -------------------------------------------------------------
 
@@ -95,30 +103,68 @@ TaskQueue::~TaskQueue() {
 }
 
 void TaskQueue::run(TaskState& t) {
+  TaskQueue* const outer = std::exchange(t_current, this);
   try {
     t.fn();
   } catch (...) {
     t.error = std::current_exception();
   }
+  t_current = outer;
   t.fn = nullptr;  // release the task's captures before anyone sees it done
   {
     std::lock_guard lk(t.mu);
     t.phase.store(TaskState::kDone, std::memory_order_release);
   }
   t.cv.notify_all();
+  if (!t.job) return;
   std::lock_guard lk(mu_);  // notify under the lock: ~TaskQueue may be waiting
   if (--pending_ == 0) cv_idle_.notify_all();
 }
 
-TaskFuture TaskQueue::submit(std::function<void()> fn) {
-  auto t = std::make_shared<TaskState>(std::move(fn), this);
+TaskFuture TaskQueue::enqueue(std::function<void()> fn, bool job) {
+  auto t = std::make_shared<TaskState>(std::move(fn), this, job);
   {
     std::lock_guard lk(mu_);
     queue_.push_back(t);
-    ++pending_;
+    if (job) ++pending_;
   }
   cv_work_.notify_one();
   return TaskFuture(std::move(t));
+}
+
+TaskFuture TaskQueue::submit(std::function<void()> fn) { return enqueue(std::move(fn), true); }
+
+TaskQueue* TaskQueue::current() { return t_current; }
+
+void TaskQueue::run_parts(size_t parts, const std::function<void(size_t)>& body) {
+  std::atomic<size_t> next{0};
+  std::mutex error_mu;
+  std::exception_ptr error;
+  const auto drain = [&] {
+    for (size_t p; (p = next++) < parts;) {
+      try {
+        body(p);
+      } catch (...) {
+        std::lock_guard lk(error_mu);
+        if (!error) error = std::current_exception();
+        next = parts;  // claim no further parts
+      }
+    }
+  };
+
+  const size_t want = parts > 1 ? std::min(threads(), parts - 1) : 0;
+  std::vector<TaskFuture> helpers;
+  helpers.reserve(want);
+  try {
+    while (helpers.size() < want) helpers.push_back(enqueue([&drain] { drain(); }, false));
+  } catch (const std::bad_alloc&) {
+    // Run with the helpers already queued; this thread drains every part anyway.
+  }
+  drain();
+  // Each helper is unstarted (claimed here: it finds the cursor spent) or
+  // draining on a worker; either way it is done before this frame unwinds.
+  for (TaskFuture& h : helpers) h.wait();
+  if (error) std::rethrow_exception(error);
 }
 
 size_t TaskQueue::depth() const {

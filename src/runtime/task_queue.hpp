@@ -1,6 +1,7 @@
 // FIFO task queue over dedicated worker threads: the library's one
-// parallel path. A single coding call runs on one thread; this queue
-// parallelizes *across* calls, one whole stripe per task.
+// parallel path. Each task is one whole coding call (a stripe); a large
+// call may also fan its block rows out across the queue's idle workers
+// through run_parts().
 //
 // api/batch.hpp's BatchCoder sessions submit whole encode/reconstruct jobs
 // here and hand TaskFutures back to the caller; wait_idle() is the flush
@@ -13,6 +14,18 @@
 // running runs it; a worker that pops a task a waiter already claimed skips
 // it. So a waiter may start its own task ahead of the FIFO order, and
 // parallelism is only ever added: workers never wait on callers.
+//
+// Parts: a task that calls run_parts() (runtime/executor.cpp does, for a
+// stripe of at least 2 × kMinSplitRows block rows) runs the parts itself,
+// claiming them one at a time from a shared cursor, and submits up to
+// min(threads(), parts − 1) helper tasks that claim from the same cursor.
+// A helper a worker picks up runs parts in parallel; once the cursor is
+// spent, the task get()s each helper. By the waiter-runs rule a helper no
+// worker started is claimed there and finds nothing left to do, so the task
+// only ever waits for parts already in flight, never for a worker to free
+// up: on a busy queue a split costs one no-op task per helper. Helpers are
+// not jobs: depth() and wait_idle() do not count them, and each one has
+// finished before the task that submitted it does.
 #pragma once
 
 #include <chrono>
@@ -73,8 +86,8 @@ class TaskQueue {
 
   /// Tasks submitted but not yet finished, whoever runs them — the queue
   /// depth a service scheduler balances shards by. A task a waiter is
-  /// running counts. Exact at the instant of the lock; naturally stale the
-  /// moment it returns.
+  /// running counts; run_parts() helpers do not. Exact at the instant of
+  /// the lock; naturally stale the moment it returns.
   size_t depth() const;
 
   /// Enqueue fn; the future completes when it has run. An exception thrown
@@ -84,17 +97,30 @@ class TaskQueue {
   /// Block until every submitted task has finished, whoever runs it.
   void wait_idle();
 
+  /// The queue whose task this thread is running (on a worker, or as a
+  /// waiter that claimed it), or nullptr outside any task.
+  static TaskQueue* current();
+
+  /// Run body(0) … body(parts − 1), each once, and return when all have
+  /// finished: this thread and up to min(threads(), parts − 1) helper tasks
+  /// claim parts from a shared cursor (see the note at the top of this
+  /// file). The first exception a part throws is rethrown here after every
+  /// started part has finished; parts not yet claimed then never run.
+  void run_parts(size_t parts, const std::function<void(size_t)>& body);
+
  private:
   friend class TaskFuture;
-  /// Run a task this thread claimed, publish its result, then count it
-  /// finished.
+  /// Queue fn; `job` tasks count in depth() and wait_idle(), helpers not.
+  TaskFuture enqueue(std::function<void()> fn, bool job);
+  /// Run a task this thread claimed with current() set to this queue,
+  /// publish its result, then count a job finished.
   void run(detail::TaskState& t);
 
   std::vector<std::thread> workers_;
   mutable std::mutex mu_;
   std::condition_variable cv_work_, cv_idle_;
   std::deque<std::shared_ptr<detail::TaskState>> queue_;
-  size_t pending_ = 0;  // submitted, not finished
+  size_t pending_ = 0;  // jobs submitted, not finished
   bool stop_ = false;
 };
 

@@ -252,6 +252,79 @@ TEST(TaskQueue, DestructorWaitsForAWaiterRunTask) {
   opener.join();
 }
 
+TEST(TaskQueue, CurrentNamesTheQueueOfTheRunningTask) {
+  EXPECT_EQ(runtime::TaskQueue::current(), nullptr);
+  runtime::TaskQueue a(1), b(1);
+  runtime::TaskQueue* seen_a = nullptr;
+  runtime::TaskQueue* seen_inner = nullptr;
+  runtime::TaskQueue* seen_after = nullptr;
+  a.submit([&] {
+     seen_a = runtime::TaskQueue::current();
+     b.submit([&] { seen_inner = runtime::TaskQueue::current(); }).get();
+     seen_after = runtime::TaskQueue::current();
+   }).get();
+  EXPECT_EQ(seen_a, &a);
+  EXPECT_EQ(seen_inner, &b);
+  EXPECT_EQ(seen_after, &a) << "a nested task must restore the outer queue";
+  EXPECT_EQ(runtime::TaskQueue::current(), nullptr);
+}
+
+TEST(TaskQueue, RunPartsRunsEveryPartOnce) {
+  runtime::TaskQueue q(3);
+  for (size_t parts : {0, 1, 2, 7, 64}) {
+    SCOPED_TRACE(parts);
+    std::vector<std::atomic<int>> hits(parts);
+    q.submit([&] { q.run_parts(parts, [&](size_t p) { ++hits[p]; }); }).get();
+    for (size_t p = 0; p < parts; ++p) EXPECT_EQ(hits[p].load(), 1) << "part " << p;
+  }
+  q.wait_idle();
+  EXPECT_EQ(q.depth(), 0u);
+}
+
+TEST(TaskQueue, RunPartsExceptionReachesTheJobFuture) {
+  runtime::TaskQueue q(2);
+  std::atomic<int> ran{0};
+  auto job = q.submit([&] {
+    q.run_parts(16, [&](size_t p) {
+      if (p == 3) throw std::runtime_error("part failed");
+      ++ran;
+    });
+  });
+  EXPECT_THROW(job.get(), std::runtime_error);
+  EXPECT_LE(ran.load(), 15);
+
+  q.wait_idle();  // the failure must not wedge the queue or its count
+  EXPECT_EQ(q.depth(), 0u);
+  std::atomic<int> count{0};
+  std::vector<runtime::TaskFuture> futs;
+  for (int i = 0; i < 20; ++i)
+    futs.push_back(q.submit([&] { q.run_parts(4, [&](size_t) { ++count; }); }));
+  for (auto& f : futs) EXPECT_NO_THROW(f.get());
+  EXPECT_EQ(count.load(), 80);
+  q.wait_idle();  // a worker's job counts until it ends, just after get() returns
+  EXPECT_EQ(q.depth(), 0u);
+}
+
+TEST(TaskQueue, RunPartsHelpersAreNotCountedAsJobs) {
+  Gate gate;
+  runtime::TaskQueue q(1);
+  std::atomic<bool> holding{false};
+  auto hold = q.submit([&] {
+    holding = true;
+    gate.wait();
+  });
+  ASSERT_TRUE(eventually(holding));
+  // The worker is held, so this thread runs the job and its helper stays
+  // queued for the whole run: depth() must still count two jobs.
+  std::vector<size_t> depths;
+  q.submit([&] { q.run_parts(4, [&](size_t) { depths.push_back(q.depth()); }); }).get();
+  EXPECT_EQ(depths, std::vector<size_t>(4, 2u));
+  gate.release();
+  hold.get();
+  q.wait_idle();
+  EXPECT_EQ(q.depth(), 0u);
+}
+
 // ---- BatchCoder ------------------------------------------------------------
 
 namespace {
@@ -356,6 +429,36 @@ TEST(BatchCoder, SpecStringConstruction) {
   EXPECT_THROW(BatchCoder("rs(5,2)@batch=0"), std::invalid_argument);
   EXPECT_THROW(BatchCoder("rs(5,2)@batch=many"), std::invalid_argument);
   EXPECT_THROW(BatchCoder(std::shared_ptr<const Codec>(), 2), std::invalid_argument);
+}
+
+TEST(BatchCoder, SplitStripesMatchAndCountOncePerSubmit) {
+  // 64 KiB strips are 64 rows at B = 1K: each job splits into row parts on
+  // the one-worker session, yet counts as one submitted job.
+  auto codec = std::shared_ptr<const Codec>(make_codec("rs(4,2)@block=1024"));
+  const size_t n = codec->data_fragments(), frag_len = codec->fragment_multiple() * 64 * 1024;
+  BatchCoder batch(codec, 1);
+  constexpr size_t kStripes = 4;
+  std::vector<Stripe> stripes(kStripes);
+  std::vector<std::vector<std::vector<uint8_t>>> truth(kStripes);
+  std::vector<runtime::TaskFuture> futs;
+  for (size_t s = 0; s < kStripes; ++s) {
+    // Ground truth from a direct, unsplit encode; then zero the parity.
+    stripes[s] = make_stripe(*codec, frag_len, static_cast<uint32_t>(300 + s));
+    truth[s].assign(stripes[s].frags.begin() + n, stripes[s].frags.end());
+    for (size_t f = n; f < stripes[s].frags.size(); ++f)
+      std::fill(stripes[s].frags[f].begin(), stripes[s].frags[f].end(), uint8_t{0});
+    futs.push_back(batch.submit_encode(stripes[s].data_ptrs.data(),
+                                       stripes[s].parity_ptrs.data(), frag_len));
+  }
+  EXPECT_EQ(batch.submitted(), kStripes);
+  EXPECT_LE(batch.pending(), kStripes);
+  for (auto& f : futs) f.get();
+  batch.flush();
+  EXPECT_EQ(batch.submitted(), kStripes);
+  EXPECT_EQ(batch.pending(), 0u);
+  for (size_t s = 0; s < kStripes; ++s)
+    for (size_t j = 0; j < truth[s].size(); ++j)
+      EXPECT_EQ(stripes[s].frags[n + j], truth[s][j]) << "stripe " << s << " parity " << j;
 }
 
 TEST(BatchCoder, JobFailureArrivesThroughTheFuture) {

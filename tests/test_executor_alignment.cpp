@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <random>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -16,6 +19,7 @@
 #include "ec/rs_codec.hpp"
 #include "runtime/aligned_buffer.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/task_queue.hpp"
 
 namespace xorec {
 namespace {
@@ -293,6 +297,151 @@ TEST(ExecutorAlignmentCodec, MisalignedFragmentsEncodeAndReconstruct) {
     }
   }
 }
+
+// ---- row-range split ----------------------------------------------------------
+
+/// Run `fn` as a task of `q`, where a call of >= 2 × kMinSplitRows rows
+/// splits into row parts.
+template <typename Fn>
+void in_queue(runtime::TaskQueue& q, Fn&& fn) {
+  q.submit(std::forward<Fn>(fn)).get();
+}
+
+class ExecutorSplit : public ::testing::TestWithParam<runtime::ExecBackend> {};
+
+TEST_P(ExecutorSplit, RowPartsAreByteIdentical) {
+  runtime::ExecOptions opt;
+  opt.block_size = 1024;
+  opt.backend = GetParam();
+  const ec::RsCodec rs(kData, kParity);
+  const ec::CompiledProgram enc(*rs.encode_pipeline(), opt);
+  runtime::TaskQueue q(2);
+
+  // 2, 4 and kMaxSplitParts parts; no length is a multiple of B or of a
+  // part's rows.
+  constexpr size_t kRows = runtime::Executor::kMinSplitRows;
+  for (size_t strip_len : {(2 * kRows + 1) * 1024 + 5, (4 * kRows + 1) * 1024 + 333,
+                           (20 * kRows + 3) * 1024 + 1}) {
+    const Reference ref(strip_len);
+    for (const ResidueCase& rc : residue_cases()) {
+      if (rc.name != "all+16" && rc.name != "alternating+16/+48") continue;
+      SCOPED_TRACE(::testing::Message() << "strip_len=" << strip_len << " " << rc.name);
+      StripPool pool(strip_len, rc.residues);
+      std::vector<const uint8_t*> in(kIn);
+      std::vector<uint8_t*> out(kOut);
+      for (size_t i = 0; i < kIn; ++i) {
+        in[i] = pool.strip(i);
+        std::copy_n(ref.strip(i / kW, i % kW, strip_len), strip_len, pool.strip(i));
+      }
+      for (size_t o = 0; o < kOut; ++o) {
+        out[o] = pool.strip(kIn + o);
+        std::fill_n(out[o], strip_len, uint8_t{0x3C});
+      }
+      ASSERT_LT(first_block_len(1024, strip_len, in, out,
+                                std::vector<uint32_t>(kIn + kOut, 1)),
+                1024u)
+          << "the first row is not peeled";
+      in_queue(q, [&] { enc.exec.run(in.data(), out.data(), strip_len); });
+      for (size_t o = 0; o < kOut; ++o)
+        ASSERT_TRUE(std::equal(out[o], out[o] + strip_len,
+                               ref.strip(kData + o / kW, o % kW, strip_len)))
+            << "output strip " << o;
+      ASSERT_TRUE(pool.guards_intact(strip_len)) << "write outside a strip";
+    }
+  }
+}
+
+TEST_P(ExecutorSplit, CodecEncodeAndReconstructInATaskMatchTheReference) {
+  // Through the public API, fragments 16 bytes past a line, strips long
+  // enough to split inside a task.
+  const size_t strip_len = (5 * runtime::Executor::kMinSplitRows + 3) * 1024 + 5;
+  const size_t frag_len = kW * strip_len;
+  const Reference ref(strip_len);
+  const auto codec = make_codec(std::string("rs(10,4)@block=1024,exec=") +
+                                runtime::exec_backend_name(GetParam()));
+  runtime::TaskQueue q(2);
+  std::vector<std::vector<uint8_t>> bufs(kData + kParity, std::vector<uint8_t>(frag_len + 128));
+  std::vector<uint8_t*> frag(kData + kParity);
+  for (size_t f = 0; f < frag.size(); ++f) {
+    const uintptr_t raw = reinterpret_cast<uintptr_t>(bufs[f].data());
+    frag[f] = bufs[f].data() + (64 - raw % 64) % 64 + 16;
+    if (f < kData) std::copy(ref.frags[f].begin(), ref.frags[f].end(), frag[f]);
+  }
+  const std::vector<const uint8_t*> data(frag.begin(), frag.begin() + kData);
+  in_queue(q, [&] { codec->encode(data.data(), frag.data() + kData, frag_len); });
+  for (size_t f = kData; f < frag.size(); ++f)
+    ASSERT_TRUE(std::equal(frag[f], frag[f] + frag_len, ref.frags[f].begin()))
+        << "parity fragment " << f;
+
+  const std::vector<uint32_t> erased = {2, 4, 5, 6};
+  std::vector<uint32_t> available;
+  std::vector<const uint8_t*> avail_ptrs;
+  for (uint32_t id = 0; id < kData + kParity; ++id)
+    if (std::find(erased.begin(), erased.end(), id) == erased.end()) {
+      available.push_back(id);
+      avail_ptrs.push_back(frag[id]);
+    }
+  std::vector<uint8_t*> out;
+  for (uint32_t id : erased) {
+    std::fill_n(frag[id], frag_len, uint8_t{0});
+    out.push_back(frag[id]);
+  }
+  const auto plan = codec->plan_reconstruct(available, erased);
+  in_queue(q, [&] { plan->execute(avail_ptrs.data(), out.data(), frag_len); });
+  for (uint32_t id : erased)
+    ASSERT_TRUE(std::equal(frag[id], frag[id] + frag_len, ref.frags[id].begin()))
+        << "rebuilt fragment " << id;
+}
+
+TEST_P(ExecutorSplit, LargeJobOnAOneWorkerQueueRunsOnTwoThreads) {
+  // The encode_10mb shape: one worker, and the caller runs its own job.
+  // The worker is held until the job starts, then takes the job's helper
+  // and runs parts beside the caller: two scratch arenas in use at once.
+  runtime::ExecOptions opt;
+  opt.block_size = 1024;
+  opt.backend = GetParam();
+  const ec::RsCodec rs(kData, kParity);
+  const ec::CompiledProgram enc(*rs.encode_pipeline(), opt);
+  const size_t strip_len = 64 * 1024;
+  const Reference ref(strip_len);
+  std::vector<const uint8_t*> in(kIn);
+  for (size_t i = 0; i < kIn; ++i) in[i] = ref.strip(i / kW, i % kW, strip_len);
+  std::vector<std::vector<uint8_t>> out_bufs(kOut, std::vector<uint8_t>(strip_len));
+  std::vector<uint8_t*> out;
+  for (auto& b : out_bufs) out.push_back(b.data());
+
+  // Outside any task the call stays on this thread.
+  enc.exec.run(in.data(), out.data(), strip_len);
+  ASSERT_EQ(enc.exec.scratch_stats().high_water, 1u);
+
+  runtime::TaskQueue q(1);
+  for (int attempt = 0; attempt < 20 && enc.exec.scratch_stats().high_water < 2; ++attempt) {
+    std::atomic<bool> holding{false}, go{false};
+    auto hold = q.submit([&] {
+      holding = true;
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+      while (!go && std::chrono::steady_clock::now() < deadline) std::this_thread::yield();
+    });
+    while (!holding) std::this_thread::yield();
+    in_queue(q, [&] {
+      go = true;
+      enc.exec.run(in.data(), out.data(), strip_len);
+    });
+    hold.get();
+    for (size_t o = 0; o < kOut; ++o)
+      ASSERT_TRUE(std::equal(out[o], out[o] + strip_len,
+                             ref.strip(kData + o / kW, o % kW, strip_len)))
+          << "output strip " << o;
+  }
+  EXPECT_GE(enc.exec.scratch_stats().high_water, 2u) << "no part ran on the idle worker";
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, ExecutorSplit,
+                         ::testing::Values(runtime::ExecBackend::Interp,
+                                           runtime::ExecBackend::Lowered),
+                         [](const ::testing::TestParamInfo<runtime::ExecBackend>& info) {
+                           return std::string(runtime::exec_backend_name(info.param));
+                         });
 
 }  // namespace
 }  // namespace xorec
