@@ -76,7 +76,7 @@ void print_cold_warm_summary() {
   std::printf("plan_cache cold-vs-warm, rs(10,4) erased {2,4,5,6}:\n");
   std::printf("  cold compile: %10.1f us   (solve + RePair + fuse + schedule + executor)\n",
               cold_us);
-  std::printf("  warm lookup:  %10.3f us   (shared-cache hit + plan assembly)\n", warm_us);
+  std::printf("  warm lookup:  %10.3f us   (plan-cache hit on the finished plan)\n", warm_us);
   std::printf("  speedup:      %10.1fx %s\n", cold_us / warm_us,
               cold_us / warm_us >= 10.0 ? "(>= 10x: PASS)" : "(< 10x!)");
 }

@@ -71,7 +71,7 @@ class XorCodec : public Codec {
  protected:
   void encode_impl(const uint8_t* const* data, uint8_t* const* parity,
                    size_t frag_len) const override;
-  /// Thin plan-and-execute over plan_reconstruct_impl (programs memoized).
+  /// Thin plan-and-execute over plan_reconstruct_impl (plans memoized).
   void reconstruct_impl(const std::vector<uint32_t>& available,
                         const uint8_t* const* available_frags,
                         const std::vector<uint32_t>& erased, uint8_t* const* out,

@@ -15,9 +15,10 @@
 // immutable, shareable ReconstructPlan; ReconstructPlan::execute() then runs
 // that program over any number of stripes with zero re-solving. The one-shot
 // reconstruct() below is a thin plan-lookup-and-execute over the same
-// machinery (compiled programs are memoized per codec, so repeated one-shot
-// calls stay fast too — the plan object additionally skips the per-call
-// pattern canonicalization and is the handle batch sessions take).
+// machinery (the built-in codecs cache finished plans per caller id order,
+// so a repeated one-shot call is a cache hit plus the execute; the plan
+// object additionally skips that lookup and is the handle batch sessions
+// take).
 //
 // Argument validation happens here, at the API boundary: bad fragment
 // lengths, out-of-range ids, and duplicated or overlapping id sets all
@@ -64,9 +65,9 @@ struct PlanStats {
 /// instance contributes; `shared` says which view this is. All-zero for
 /// codecs that do not compile programs (the GF-table baseline).
 struct CacheStats {
-  size_t entries = 0;      // programs currently cached
-  size_t hits = 0;         // lookups served without compiling
-  size_t misses = 0;       // lookups that compiled
+  size_t entries = 0;      // programs and finished plans currently cached
+  size_t hits = 0;         // program or plan lookups served from the cache
+  size_t misses = 0;       // program lookups that compiled
   size_t evictions = 0;    // entries LRU-evicted (capacity pressure)
   uint64_t compile_ns = 0; // total wall time spent compiling on misses
   /// True for a process-wide view (the shared service cache, or the

@@ -267,6 +267,9 @@ CodecService::WarmupReport CodecService::warmup(const std::string& path) {
     }
     ++report.codecs;
     const Codec& codec = *pool->codec;
+    // Replay the programs only: a plan is cached under its caller's id
+    // order, and the recorded survivor subset is not one clients use.
+    const ec::PlanCache::ProgramsOnlyScope programs_only;
     std::vector<uint32_t> available, erased;
     for (const std::vector<uint32_t>& pattern : entry.patterns) {
       // Decode keys replay against exactly the recorded survivor set, so

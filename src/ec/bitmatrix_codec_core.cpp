@@ -28,7 +28,11 @@ void strips_into(std::vector<Byte*>& dst, Byte* const* frags, size_t count, size
 /// The compiled two-step repair plan: a decode program over a fixed subset
 /// of the survivors, then a parity re-encode over the (partly rebuilt) data.
 /// Self-contained: co-owns the programs, copies the index maps — the codec
-/// may be destroyed while the plan keeps serving stripes.
+/// may be destroyed while the plan keeps serving stripes. make_plan builds
+/// one per (codec identity and name, caller's id order) and caches the
+/// finished object in the PlanCache, so every warm plan_reconstruct and
+/// plan-less reconstruct of that order shares it, along with its lazily
+/// computed read set and stats.
 class BitmatrixReconstructPlan final : public ReconstructPlan {
  public:
   struct DataStep {
@@ -166,6 +170,9 @@ BitmatrixCodecCore::BitmatrixCodecCore(size_t data_blocks, size_t parity_blocks,
   // built under one override could be handed programs bound to another ISA.
   opt_.exec.isa = kernel::kernel_table(opt_.exec.isa).isa;
   config_fp_ = PlanCache::fingerprint_config(opt_.pipeline, opt_.exec) ^ strategy_salt;
+  // A cached plan reports the name of the codec that built it, so codecs
+  // that share programs but not a name must not share plans.
+  plan_config_fp_ = config_fp_ ^ std::hash<std::string>{}(name_);
   std::tie(matrix_fp_, matrix_fp2_) = PlanCache::fingerprint_matrix(parity, k_, m_, w_);
   // Private caches are single-shard so cache=N keeps exact LRU capacity
   // semantics; the shared service spreads over PlanCache::kDefaultShards.
@@ -240,12 +247,26 @@ void BitmatrixCodecCore::encode(const uint8_t* const* data, uint8_t* const* pari
 std::shared_ptr<const ReconstructPlan> BitmatrixCodecCore::make_plan(
     const std::vector<uint32_t>& available, const std::vector<uint32_t>& erased,
     const DataPlanFn& plan_data, const ParityPlanFn& plan_parity) const {
+  // The plan key in the caller's id order, built in a per-thread buffer so
+  // a warm lookup allocates nothing; only a miss copies it into the cache.
+  thread_local PlanKey key;
+  key.matrix_fp = matrix_fp_;
+  key.matrix_fp2 = matrix_fp2_;
+  key.config_fp = plan_config_fp_;
+  key.pattern.clear();
+  key.pattern.push_back(PlanKey::kPlanTag);
+  key.pattern.insert(key.pattern.end(), available.begin(), available.end());
+  key.pattern.push_back(kPatternSep);
+  key.pattern.insert(key.pattern.end(), erased.begin(), erased.end());
+  if (auto plan = cache_->find_plan(key)) return plan;
+
   const RepairLayout layout(k_, k_ + m_, available, erased);
 
   // Canonical (sorted) erased-data order for the cache key and output map.
   std::vector<uint32_t> erased_sorted;
   std::vector<size_t> out_pos_sorted;
   std::optional<BitmatrixReconstructPlan::DataStep> data_step;
+  std::vector<PlanKey> uses;  // the programs' keys, refreshed on every plan hit
   if (!layout.erased_data.empty()) {
     std::vector<uint32_t> avail_sorted = available;
     std::sort(avail_sorted.begin(), avail_sorted.end());
@@ -261,6 +282,7 @@ std::shared_ptr<const ReconstructPlan> BitmatrixCodecCore::make_plan(
     }
 
     const RecoveryPlan rp = plan_data(avail_sorted, erased_sorted);
+    uses.push_back({matrix_fp_, matrix_fp2_, config_fp_, decode_key(erased_sorted, rp.inputs)});
     BitmatrixReconstructPlan::DataStep step;
     step.program = rp.program;
     step.in_pos.reserve(rp.inputs.size());
@@ -278,6 +300,7 @@ std::shared_ptr<const ReconstructPlan> BitmatrixCodecCore::make_plan(
   if (!layout.erased_parity.empty()) {
     BitmatrixReconstructPlan::ParityStep step;
     step.program = plan_parity(layout.erased_parity);
+    uses.push_back({matrix_fp_, matrix_fp2_, config_fp_, parity_key(layout.erased_parity)});
     // Which data blocks the compiled program actually reads, from its
     // compile-time read summary. Locality codes (LRC) rebuild a local parity
     // from its group alone — unread blocks need no source buffer (they get a
@@ -294,9 +317,11 @@ std::shared_ptr<const ReconstructPlan> BitmatrixCodecCore::make_plan(
     parity_step = std::move(step);
   }
 
-  return std::make_shared<BitmatrixReconstructPlan>(name_, w_, available, erased,
-                                                    std::move(data_step),
-                                                    std::move(parity_step));
+  return cache_->insert_plan(
+      key, std::make_shared<BitmatrixReconstructPlan>(name_, w_, available, erased,
+                                                      std::move(data_step),
+                                                      std::move(parity_step)),
+      std::move(uses));
 }
 
 }  // namespace xorec::ec

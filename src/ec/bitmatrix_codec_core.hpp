@@ -11,11 +11,11 @@
 // callbacks ONCE — the returned plan is self-contained (it co-owns the
 // compiled programs, not the codec) and its execute() does zero re-solving.
 //
-// Compiled programs — the encoder included — are memoized in a PlanCache
-// keyed by (matrix fingerprint, config fingerprint, pattern): by default the
-// process-shared instance, so RS(10,4) compiled once serves every codec
-// instance and every BatchCoder session (CodecOptions picks private/injected
-// caches for isolation).
+// Compiled programs — the encoder included — and finished repair plans are
+// memoized in a PlanCache keyed by (matrix fingerprint, config fingerprint,
+// pattern): by default the process-shared instance, so RS(10,4) compiled
+// once serves every codec instance and every BatchCoder session
+// (CodecOptions picks private/injected caches for isolation).
 #pragma once
 
 #include <functional>
@@ -132,21 +132,25 @@ class BitmatrixCodecCore {
     std::shared_ptr<const CompiledProgram> program;
     std::vector<uint32_t> inputs;
   };
-  /// Called with the sorted available ids and the sorted erased *data* ids.
+  /// Called with the sorted available ids and the sorted erased *data* ids;
+  /// caches its program under decode_key(erased_data, inputs).
   using DataPlanFn = std::function<RecoveryPlan(const std::vector<uint32_t>& available,
                                                 const std::vector<uint32_t>& erased_data)>;
   /// Called with the erased *parity* ids; the program's inputs are numbered
   /// over all k data fragments in order (make_plan only demands buffers for
   /// the blocks the compiled program actually reads, so locality codes can
-  /// re-encode a local parity from its group alone).
+  /// re-encode a local parity from its group alone). Caches its program
+  /// under parity_key(erased_parity).
   using ParityPlanFn = std::function<std::shared_ptr<const CompiledProgram>(
       const std::vector<uint32_t>& erased_parity)>;
 
-  /// Build the compiled repair plan for one erasure pattern: split erased
-  /// into data/parity, resolve both steps through the callbacks (which
-  /// normally hit the plan cache), and freeze the id -> buffer index maps.
-  /// Inputs are assumed validated (xorec::Codec does that at the API
-  /// boundary); unrecoverable patterns throw here, at plan time.
+  /// The compiled repair plan for one erasure pattern, in the caller's id
+  /// order. A warm call is one plan-cache hit returning the shared plan. A
+  /// miss splits erased into data/parity, resolves both steps through the
+  /// callbacks (which normally hit the plan cache), freezes the id -> buffer
+  /// index maps, and caches the finished plan. Inputs are assumed validated
+  /// (xorec::Codec does that at the API boundary); unrecoverable patterns
+  /// throw here, at plan time, and cache no plan.
   std::shared_ptr<const ReconstructPlan> make_plan(
       const std::vector<uint32_t>& available, const std::vector<uint32_t>& erased,
       const DataPlanFn& plan_data, const ParityPlanFn& plan_parity) const;
@@ -156,6 +160,7 @@ class BitmatrixCodecCore {
   CodecOptions opt_;
   std::string name_;
   uint64_t matrix_fp_ = 0, matrix_fp2_ = 0, config_fp_ = 0;
+  uint64_t plan_config_fp_ = 0;  // config_fp_ mixed with name_: plan keys only
   std::shared_ptr<PlanCache> cache_;
   std::shared_ptr<CompiledProgram> enc_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 namespace xorec::ec {
 
@@ -29,6 +30,9 @@ uint64_t splitmix_mix(uint64_t h, uint64_t v) {
 /// multi-codec service never recompiles its hot patterns (RS(10,4)'s full
 /// decode space is 1001 programs), small enough to bound memory.
 constexpr size_t kSharedCapacity = 4096;
+
+/// Set on this thread while a PlanCache::ProgramsOnlyScope is alive.
+thread_local bool t_programs_only = false;
 
 /// Every live PlanCache, so aggregate_stats() can sum the per-instance
 /// counters. Leaky singleton: it must outlive the process_shared() static
@@ -85,16 +89,35 @@ PlanCache::~PlanCache() {
   reg.caches.erase(std::find(reg.caches.begin(), reg.caches.end(), this));
 }
 
+const PlanCache::Entry* PlanCache::touch(Shard& s, const PlanKey& key) {
+  const auto it = s.map.find(key);
+  if (it == s.map.end()) return nullptr;
+  s.order.splice(s.order.begin(), s.order, it->second.pos);
+  return &it->second;
+}
+
+const PlanCache::Entry& PlanCache::insert(Shard& s, const PlanKey& key, Entry e) {
+  const auto it = s.map.find(key);
+  if (it != s.map.end()) return it->second;
+  s.order.push_front(key);
+  e.pos = s.order.begin();
+  const Entry& stored = s.map.emplace(key, std::move(e)).first->second;
+  if (per_shard_cap_ != 0 && s.map.size() > per_shard_cap_) {
+    s.map.erase(s.order.back());  // never `stored`: it is the MRU
+    s.order.pop_back();
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return stored;
+}
+
 std::shared_ptr<CompiledProgram> PlanCache::get_or_build(const PlanKey& key,
                                                          const Builder& build) {
   Shard& s = shard_of(key);
   {
     std::lock_guard lk(s.mu);
-    auto it = s.map.find(key);
-    if (it != s.map.end()) {
-      s.order.splice(s.order.begin(), s.order, it->second.second);
+    if (const Entry* e = touch(s, key)) {
       hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second.first;
+      return e->program;
     }
   }
   // Compile outside the lock (milliseconds of RePair + scheduling); racing
@@ -108,17 +131,46 @@ std::shared_ptr<CompiledProgram> PlanCache::get_or_build(const PlanKey& key,
                         std::memory_order_relaxed);
 
   std::lock_guard lk(s.mu);
-  auto it = s.map.find(key);
-  if (it != s.map.end()) return it->second.first;
-  s.order.push_front(key);
-  s.map.emplace(key, std::make_pair(built, s.order.begin()));
-  if (per_shard_cap_ != 0 && s.map.size() > per_shard_cap_) {
-    s.map.erase(s.order.back());
-    s.order.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return built;
+  return insert(s, key, {std::move(built), nullptr, nullptr, {}}).program;
 }
+
+std::shared_ptr<const ReconstructPlan> PlanCache::find_plan(const PlanKey& key) {
+  if (t_programs_only) return nullptr;
+  Shard& s = shard_of(key);
+  std::shared_ptr<const ReconstructPlan> plan;
+  std::shared_ptr<const std::vector<PlanKey>> uses;
+  {
+    std::lock_guard lk(s.mu);
+    const Entry* e = touch(s, key);
+    if (!e) return nullptr;
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    plan = e->plan;
+    uses = e->uses;
+  }
+  // The programs a hot plan runs stay at least as fresh as the plan, one
+  // shard lock at a time: capacity pressure evicts the cheap plan first,
+  // and a profile lists them as hot.
+  for (const PlanKey& k : *uses) {
+    Shard& p = shard_of(k);
+    std::lock_guard lk(p.mu);
+    (void)touch(p, k);
+  }
+  return plan;
+}
+
+std::shared_ptr<const ReconstructPlan> PlanCache::insert_plan(
+    const PlanKey& key, std::shared_ptr<const ReconstructPlan> plan,
+    std::vector<PlanKey> uses) {
+  if (t_programs_only) return plan;
+  auto shared_uses = std::make_shared<const std::vector<PlanKey>>(std::move(uses));
+  Shard& s = shard_of(key);
+  std::lock_guard lk(s.mu);
+  return insert(s, key, {nullptr, std::move(plan), std::move(shared_uses), {}}).plan;
+}
+
+PlanCache::ProgramsOnlyScope::ProgramsOnlyScope() : outer_(std::exchange(t_programs_only, true)) {}
+
+PlanCache::ProgramsOnlyScope::~ProgramsOnlyScope() { t_programs_only = outer_; }
 
 CacheStats PlanCache::stats() const {
   CacheStats cs;
@@ -166,7 +218,7 @@ size_t PlanCache::size_for(uint64_t matrix_fp, uint64_t config_fp) const {
   for (const auto& s : shards_) {
     std::lock_guard lk(s->mu);
     for (const auto& [key, _] : s->map)
-      if (key.matrix_fp == matrix_fp && key.config_fp == config_fp) ++n;
+      if (key.matrix_fp == matrix_fp && key.config_fp == config_fp && !key.is_plan()) ++n;
   }
   return n;
 }
@@ -177,7 +229,7 @@ std::vector<std::vector<uint32_t>> PlanCache::patterns_for(uint64_t matrix_fp,
   for (const auto& s : shards_) {
     std::lock_guard lk(s->mu);
     for (const PlanKey& key : s->order)  // front = MRU
-      if (key.matrix_fp == matrix_fp && key.config_fp == config_fp)
+      if (key.matrix_fp == matrix_fp && key.config_fp == config_fp && !key.is_plan())
         out.push_back(key.pattern);
   }
   return out;

@@ -1,6 +1,7 @@
 // The process-wide plan-compilation service: a sharded LRU cache of
-// compiled SLP programs keyed by (bitmatrix fingerprint, pipeline/executor
-// config fingerprint, erasure-pattern key).
+// compiled SLP programs and of the finished repair plans built from them,
+// keyed by (bitmatrix fingerprint, pipeline/executor config fingerprint,
+// pattern key).
 //
 // The paper's central observation is that decode programs are *compiled
 // artifacts* — RS(10, 4) alone has 1001 decode matrices (§7.1) and compiling
@@ -10,7 +11,23 @@
 // cache process-shared by default: every `make_codec("rs(10,4)")`, every
 // BatchCoder session and every shard of a multi-codec service hits the same
 // compiled entries. Entries are shared_ptr-owned, so eviction never
-// invalidates a plan that is still executing.
+// invalidates a plan that is still executing, and a plan keeps the programs
+// it runs alive after they are evicted.
+//
+// Two kinds of entry share one LRU, one capacity and one set of counters:
+//   - programs (get_or_build): a miss compiles, counting in `misses` and
+//     `compile_ns`;
+//   - finished ReconstructPlans (find_plan / insert_plan), keyed on
+//     {kPlanTag ++ available ++ SEP ++ erased} in the caller's id order,
+//     because execute() takes buffers in that order. A warm plan_reconstruct
+//     is one find_plan hit: nothing is laid out, sorted or summarized again.
+//     A hit counts in `hits`; assembling a plan on a miss is not a compile
+//     and counts nothing (its nested program lookups count as usual). A
+//     hit also moves the plan's programs to the MRU end, so they outlive
+//     the plan under capacity pressure and a profile lists them as hot.
+// The tag never starts a program key, so the two key formats never collide.
+// Plan entries are invisible to what describes compiled programs: size_for,
+// patterns_for (and so warmup profiles and PlanFootprint) list programs only.
 //
 // Sharding: keys hash to one of N shards, each with its own mutex and LRU
 // list, so concurrent planners on different patterns do not serialize.
@@ -68,8 +85,13 @@ struct CompiledProgram {
 /// the pipeline + executor options, and `pattern` is the per-program role:
 /// {erased ++ SEP ++ inputs} for decoders, {parity_ids ++ SEP ++ SEP} for
 /// parity re-encode subsets, {} for the encoder itself
-/// (BitmatrixCodecCore builds these).
+/// (BitmatrixCodecCore builds these), and {kPlanTag ++ available ++ SEP ++
+/// erased} for finished plans.
 struct PlanKey {
+  /// First word of every plan key; a program key starts with a fragment id,
+  /// a SEP (UINT32_MAX) or nothing.
+  static constexpr uint32_t kPlanTag = UINT32_MAX - 1;
+
   uint64_t matrix_fp = 0;
   uint64_t matrix_fp2 = 0;
   uint64_t config_fp = 0;
@@ -77,6 +99,7 @@ struct PlanKey {
 
   bool operator==(const PlanKey&) const = default;
   size_t hash() const;
+  bool is_plan() const { return !pattern.empty() && pattern.front() == kPlanTag; }
 };
 
 class PlanCache {
@@ -99,6 +122,34 @@ class PlanCache {
   /// runs outside the shard lock; its wall time lands in stats().compile_ns.
   std::shared_ptr<CompiledProgram> get_or_build(const PlanKey& key, const Builder& build);
 
+  /// The finished plan cached under `key` (a plan key), or null. A hit
+  /// counts in stats().hits and moves the plan, then the programs it runs,
+  /// to the MRU end (the program refresh counts nothing); a miss counts
+  /// nothing. Allocates nothing.
+  std::shared_ptr<const ReconstructPlan> find_plan(const PlanKey& key);
+  /// Store `plan` under `key` and return it, or return the plan a racing
+  /// builder stored first. `uses` are the program keys the plan runs, which
+  /// each find_plan hit refreshes. Counts nothing: assembling a plan is not
+  /// a compile.
+  std::shared_ptr<const ReconstructPlan> insert_plan(const PlanKey& key,
+                                                     std::shared_ptr<const ReconstructPlan> plan,
+                                                     std::vector<PlanKey> uses);
+
+  /// While one is alive on a thread, that thread's find_plan misses and
+  /// insert_plan stores nothing, so its plan_reconstruct calls compile and
+  /// cache programs only. Warmup replays a profile's program keys this
+  /// way, without adding plans under id orders no client asked for.
+  class ProgramsOnlyScope {
+   public:
+    ProgramsOnlyScope();
+    ~ProgramsOnlyScope();
+    ProgramsOnlyScope(const ProgramsOnlyScope&) = delete;
+    ProgramsOnlyScope& operator=(const ProgramsOnlyScope&) = delete;
+
+   private:
+    bool outer_;
+  };
+
   /// Cache-wide counters (entries, hits, misses, evictions, compile time).
   /// Counters are scoped to THIS instance — a private codec cache's traffic
   /// never leaks into the shared service's hit rate, or vice versa.
@@ -109,11 +160,12 @@ class PlanCache {
   /// take their counters with them.
   static CacheStats aggregate_stats();
   size_t size() const;
-  /// Entries belonging to one codec identity — the per-codec "cache size"
-  /// view onto the shared cache.
+  /// Programs belonging to one codec identity — the per-codec "cache size"
+  /// view onto the shared cache (plan entries are not counted).
   size_t size_for(uint64_t matrix_fp, uint64_t config_fp) const;
-  /// The pattern keys cached for one codec identity, MRU-first per shard —
-  /// the replayable half of a warmup profile (ec/plan_cache_io.hpp).
+  /// The program pattern keys cached for one codec identity, MRU-first per
+  /// shard — the replayable half of a warmup profile (ec/plan_cache_io.hpp).
+  /// Plan keys are left out.
   std::vector<std::vector<uint32_t>> patterns_for(uint64_t matrix_fp,
                                                   uint64_t config_fp) const;
   /// Drop every entry (counters keep accumulating). In-flight plans keep
@@ -136,19 +188,29 @@ class PlanCache {
                                      const runtime::ExecOptions& exec);
 
  private:
+  /// One cached artifact: a program, or (under a plan key) a finished plan.
+  struct Entry {
+    std::shared_ptr<CompiledProgram> program;
+    std::shared_ptr<const ReconstructPlan> plan;
+    std::shared_ptr<const std::vector<PlanKey>> uses;  // a plan's program keys
+    std::list<PlanKey>::iterator pos;                  // in Shard::order
+  };
   struct Shard {
     mutable std::mutex mu;
     std::list<PlanKey> order;  // front = MRU
     struct Hash {
       size_t operator()(const PlanKey& k) const { return k.hash(); }
     };
-    std::unordered_map<PlanKey,
-                       std::pair<std::shared_ptr<CompiledProgram>, std::list<PlanKey>::iterator>,
-                       Hash>
-        map;
+    std::unordered_map<PlanKey, Entry, Hash> map;
   };
 
   Shard& shard_of(const PlanKey& key) const { return *shards_[key.hash() % shards_.size()]; }
+  /// The entry under `key` moved to MRU, or null. Counts nothing.
+  /// Caller holds s.mu.
+  const Entry* touch(Shard& s, const PlanKey& key);
+  /// Insert `e` under `key` unless present (first insert wins) and evict
+  /// past capacity; returns the entry now cached. Caller holds s.mu.
+  const Entry& insert(Shard& s, const PlanKey& key, Entry e);
 
   size_t per_shard_cap_;  // 0 = unbounded
   std::vector<std::unique_ptr<Shard>> shards_;  // stable addresses for the mutexes

@@ -26,7 +26,7 @@ struct TaskState {
   bool done() const { return phase.load(std::memory_order_acquire) == kDone; }
 
   std::function<void()> fn;
-  TaskQueue* queue;  // outlives the task: ~TaskQueue waits until it is done
+  TaskQueue* queue;  // live until the task has run: ~TaskQueue waits for that
   bool job;          // counts in pending_ (a run_parts helper does not)
   std::atomic<int> phase{kQueued};
   std::exception_ptr error;  // written by the runner before phase = kDone
@@ -111,14 +111,22 @@ void TaskQueue::run(TaskState& t) {
   }
   t_current = outer;
   t.fn = nullptr;  // release the task's captures before anyone sees it done
-  {
+  const auto publish = [&t] {
     std::lock_guard lk(t.mu);
     t.phase.store(TaskState::kDone, std::memory_order_release);
+  };
+  if (t.job) {
+    // A job reads done and leaves pending_ in one step under mu_: a future
+    // that reads ready is not counted in depth(), and depth() == 0 or
+    // wait_idle() means every job's future reads ready.
+    std::lock_guard lk(mu_);  // notify under the lock: ~TaskQueue may be waiting
+    publish();
+    if (--pending_ == 0) cv_idle_.notify_all();
+  } else {
+    publish();
   }
+  // From here ~TaskQueue may be running: touch only the task, never the queue.
   t.cv.notify_all();
-  if (!t.job) return;
-  std::lock_guard lk(mu_);  // notify under the lock: ~TaskQueue may be waiting
-  if (--pending_ == 0) cv_idle_.notify_all();
 }
 
 TaskFuture TaskQueue::enqueue(std::function<void()> fn, bool job) {

@@ -113,7 +113,8 @@ class TaskQueue {
   /// Queue fn; `job` tasks count in depth() and wait_idle(), helpers not.
   TaskFuture enqueue(std::function<void()> fn, bool job);
   /// Run a task this thread claimed with current() set to this queue,
-  /// publish its result, then count a job finished.
+  /// then publish its result and, for a job, count it finished in the same
+  /// step under mu_.
   void run(detail::TaskState& t);
 
   std::vector<std::thread> workers_;

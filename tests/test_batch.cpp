@@ -252,6 +252,51 @@ TEST(TaskQueue, DestructorWaitsForAWaiterRunTask) {
   opener.join();
 }
 
+TEST(TaskQueue, WorkerRunJobLeavesDepthBeforeItsFutureReadsReady) {
+  // wait_for never runs a task, so every job here runs on the worker; the
+  // moment its future reads ready, depth() must no longer count it. A
+  // second reader contends for the queue lock, which widens the window in
+  // which a worker that published done first still counts the job.
+  runtime::TaskQueue q(1);
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    while (!stop) (void)q.depth();
+  });
+  size_t counted_after_ready = 0;
+  for (int i = 0; i < 10000; ++i) {
+    auto job = q.submit([] {});
+    while (job.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+    }
+    if (q.depth() != 0) ++counted_after_ready;
+    job.get();
+  }
+  stop = true;
+  reader.join();
+  EXPECT_EQ(counted_after_ready, 0u);
+}
+
+TEST(TaskQueue, IdleQueueMeansEveryFutureReadsReady) {
+  // The converse direction: once depth() reads 0 or wait_idle() returns,
+  // every job's future reads ready. Spinning on depth() takes the queue
+  // lock the moment the worker drops it, which exposes a worker that
+  // leaves pending_ before it publishes done.
+  runtime::TaskQueue q(1);
+  size_t not_ready_when_idle = 0;
+  for (int i = 0; i < 10000; ++i) {
+    auto job = q.submit([] {});
+    if (i % 2 == 0) {
+      while (q.depth() != 0) {
+      }
+    } else {
+      q.wait_idle();
+    }
+    if (job.wait_for(std::chrono::seconds(0)) != std::future_status::ready)
+      ++not_ready_when_idle;
+    job.get();
+  }
+  EXPECT_EQ(not_ready_when_idle, 0u);
+}
+
 TEST(TaskQueue, CurrentNamesTheQueueOfTheRunningTask) {
   EXPECT_EQ(runtime::TaskQueue::current(), nullptr);
   runtime::TaskQueue a(1), b(1);

@@ -1,12 +1,15 @@
 // The warm encode and plan-execute hot paths never touch the heap: pointer
 // tables are per thread and reused, and the executor's per-caller scratch
-// (pebble arena, source/argument tables) comes from its freelist.
+// (pebble arena, source/argument tables) comes from its freelist. A warm
+// plan lookup is one plan-cache hit on a per-thread key and allocates
+// nothing either.
 //
 // This file replaces the global operator new/delete for the whole test
 // binary. The replacements forward to malloc/free and count allocations only
 // on a thread whose counting flag is set, so every other test is unaffected.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -15,6 +18,8 @@
 #include <vector>
 
 #include "api/registry.hpp"
+#include "api/service.hpp"
+#include "ec/plan_cache.hpp"
 
 namespace {
 
@@ -107,6 +112,85 @@ TEST(HotPathAllocation, WarmEncodeAndExecuteAllocateNothing) {
               0u);
     for (size_t i = 0; i < erased.size(); ++i) EXPECT_EQ(rebuilt[i], frags[erased[i]]);
   }
+}
+
+/// The paper's {2,4,5,6} RS(10,4) pattern over 64 KiB fragments.
+struct DegradedRead {
+  static constexpr size_t kFragLen = 64 * 1024;
+  std::vector<uint32_t> erased{2, 4, 5, 6};
+  std::vector<uint32_t> available;
+  std::vector<std::vector<uint8_t>> frags;
+  std::vector<const uint8_t*> avail_ptrs;
+  std::vector<std::vector<uint8_t>> rebuilt;
+  std::vector<uint8_t*> out;
+
+  explicit DegradedRead(const Codec& codec) : frags(14, std::vector<uint8_t>(kFragLen)) {
+    std::mt19937 rng(5);
+    for (size_t f = 0; f < 10; ++f)
+      for (uint8_t& b : frags[f]) b = static_cast<uint8_t>(rng());
+    std::vector<const uint8_t*> data;
+    std::vector<uint8_t*> parity;
+    for (size_t f = 0; f < 10; ++f) data.push_back(frags[f].data());
+    for (size_t f = 10; f < 14; ++f) parity.push_back(frags[f].data());
+    codec.encode(data.data(), parity.data(), kFragLen);
+    for (uint32_t id = 0; id < 14; ++id)
+      if (std::find(erased.begin(), erased.end(), id) == erased.end()) {
+        available.push_back(id);
+        avail_ptrs.push_back(frags[id].data());
+      }
+    rebuilt.assign(erased.size(), std::vector<uint8_t>(kFragLen));
+    for (auto& r : rebuilt) out.push_back(r.data());
+  }
+  bool rebuilt_right() const {
+    for (size_t i = 0; i < erased.size(); ++i)
+      if (rebuilt[i] != frags[erased[i]]) return false;
+    return true;
+  }
+};
+
+TEST(HotPathAllocation, WarmPlanLookupAllocatesNothing) {
+  const auto codec = make_codec("rs(10,4)@block=1024");
+  const DegradedRead r(*codec);
+  const auto plan = codec->plan_reconstruct(r.available, r.erased);  // miss: builds
+  (void)codec->plan_reconstruct(r.available, r.erased);              // warm the key buffer
+
+  std::shared_ptr<const ReconstructPlan> again;
+  EXPECT_EQ(news_during([&] {
+              for (int i = 0; i < 100; ++i) again = codec->plan_reconstruct(r.available, r.erased);
+            }),
+            0u);
+  EXPECT_EQ(again.get(), plan.get());  // the cached plan itself, not a rebuilt copy
+}
+
+TEST(HotPathAllocation, WarmServicePlanAndReconstructAllocateOnlyTheSubmit) {
+  // The caller's side of a warm degraded read through a service: the plan
+  // lookup allocates nothing, so what is left is the submit — the two
+  // pointer-table copies, the job's std::function and its task state, plus
+  // one queue block per 32 jobs. (Building a plan on every lookup made
+  // this 51 per request.)
+  CodecService::Options opt;
+  opt.shards = 2;
+  opt.plan_cache = std::make_shared<ec::PlanCache>(0, 2);
+  CodecService service(opt);
+  const ServiceHandle h = service.acquire("rs(10,4)@block=1024");
+  DegradedRead r(h.codec());
+  const auto request = [&] {
+    const auto plan = h.plan_reconstruct(r.available, r.erased);
+    h.reconstruct(plan, r.avail_ptrs.data(), r.out.data(), DegradedRead::kFragLen).get();
+  };
+  // Warm the plan, this thread's key and pointer tables (a get() may run
+  // the job here), and the executor's scratch.
+  for (int i = 0; i < 10; ++i) request();
+  h.plan_reconstruct(r.available, r.erased)
+      ->execute(r.avail_ptrs.data(), r.out.data(), DegradedRead::kFragLen);
+
+  constexpr size_t kRequests = 320;
+  const size_t news = news_during([&] {
+    for (size_t i = 0; i < kRequests; ++i) request();
+  });
+  EXPECT_GE(news, kRequests * 4);
+  EXPECT_LE(news, kRequests * 4 + kRequests / 32 + 1);
+  EXPECT_TRUE(r.rebuilt_right());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // The plan-compilation service (ec::PlanCache): process-shared reuse across
 // codec instances, private-cache isolation, LRU eviction order and stats,
-// and concurrent get_or_build consistency.
+// concurrent get_or_build consistency, and the finished-plan entries that
+// share its LRU with the compiled programs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "altcodes/sparse.hpp"
+#include "altcodes/xor_code.hpp"
 #include "api/xorec.hpp"
 #include "ec/plan_cache.hpp"
 #include "ec/rs_codec.hpp"
@@ -36,6 +39,46 @@ std::vector<uint32_t> all_but(const Codec& codec, const std::vector<uint32_t>& e
       available.push_back(id);
   return available;
 }
+
+/// One encoded stripe of random data, and what a plan rebuilds from it.
+struct Stripe {
+  const Codec& codec;
+  size_t frag_len;
+  std::vector<std::vector<uint8_t>> frags;
+
+  explicit Stripe(const Codec& c, uint32_t seed = 7)
+      : codec(c),
+        frag_len(c.fragment_multiple() * 64),
+        frags(c.total_fragments(), std::vector<uint8_t>(frag_len)) {
+    std::mt19937 rng(seed);
+    std::vector<const uint8_t*> data;
+    std::vector<uint8_t*> parity;
+    for (size_t i = 0; i < c.data_fragments(); ++i) {
+      for (auto& v : frags[i]) v = static_cast<uint8_t>(rng());
+      data.push_back(frags[i].data());
+    }
+    for (size_t i = c.data_fragments(); i < c.total_fragments(); ++i)
+      parity.push_back(frags[i].data());
+    c.encode(data.data(), parity.data(), frag_len);
+  }
+
+  /// The fragments `plan` rebuilds, parallel to plan.erased().
+  std::vector<std::vector<uint8_t>> rebuild(const ReconstructPlan& plan) const {
+    std::vector<const uint8_t*> in;
+    for (uint32_t id : plan.available()) in.push_back(frags[id].data());
+    std::vector<std::vector<uint8_t>> out(plan.erased().size(),
+                                          std::vector<uint8_t>(frag_len, 0xEE));
+    std::vector<uint8_t*> outp;
+    for (auto& o : out) outp.push_back(o.data());
+    plan.execute(in.data(), outp.data(), frag_len);
+    return out;
+  }
+  std::vector<std::vector<uint8_t>> originals(const std::vector<uint32_t>& ids) const {
+    std::vector<std::vector<uint8_t>> v;
+    for (uint32_t id : ids) v.push_back(frags[id]);
+    return v;
+  }
+};
 
 }  // namespace
 
@@ -232,4 +275,195 @@ TEST(PlanCache, ConcurrentGetOrBuildIsConsistent) {
   EXPECT_EQ(s.hits + s.misses, kThreads * kRounds);
   EXPECT_EQ(s.misses, builds.load());
   EXPECT_GE(s.misses, kKeys);
+}
+
+// ---- finished plans ---------------------------------------------------------
+
+TEST(PlanCache, WarmPlanLookupReturnsTheCachedPlanAndCountsOneHit) {
+  ec::CodecOptions opt;
+  opt.plan_cache = std::make_shared<ec::PlanCache>(0, 2);
+  const ec::RsCodec codec(10, 4, opt);
+  const std::vector<uint32_t> erased{2, 4, 5, 6};
+  const auto available = all_but(codec, erased);
+
+  const CacheStats s0 = codec.cache_stats();
+  const auto plan = codec.plan_reconstruct(available, erased);
+  const CacheStats s1 = codec.cache_stats();
+  EXPECT_EQ(s1.misses, s0.misses + 1);  // the decoder; assembling the plan is no compile
+  EXPECT_EQ(s1.hits, s0.hits);
+  EXPECT_EQ(s1.entries, s0.entries + 2);  // decoder + plan
+  EXPECT_EQ(codec.cached_program_count(), 2u);  // encoder + decoder: plans are not programs
+
+  EXPECT_EQ(codec.plan_reconstruct(available, erased).get(), plan.get());
+  const CacheStats s2 = codec.cache_stats();
+  EXPECT_EQ(s2.hits, s1.hits + 1);  // one plan hit, no nested program lookup
+  EXPECT_EQ(s2.misses, s1.misses);
+  EXPECT_EQ(s2.compile_ns, s1.compile_ns);
+
+  // Another id order is another plan (execute() takes buffers in that
+  // order) over the same decoder: a plan miss, a program hit.
+  std::vector<uint32_t> reversed(available.rbegin(), available.rend());
+  const auto other = codec.plan_reconstruct(reversed, erased);
+  const CacheStats s3 = codec.cache_stats();
+  EXPECT_NE(other.get(), plan.get());
+  EXPECT_EQ(other->decode_pipeline(), plan->decode_pipeline());
+  EXPECT_EQ(s3.misses, s2.misses);
+  EXPECT_EQ(s3.compile_ns, s2.compile_ns);
+  EXPECT_EQ(s3.hits, s2.hits + 1);
+  EXPECT_EQ(other->available(), reversed);
+  const Stripe stripe(codec);
+  EXPECT_EQ(stripe.rebuild(*other), stripe.originals(erased));
+}
+
+TEST(PlanCache, PlansAndProgramsShareOneLruCapacity) {
+  const auto cache = std::make_shared<ec::PlanCache>(3, /*shards=*/1);
+  ec::CodecOptions opt;
+  opt.plan_cache = cache;
+  const ec::RsCodec codec(6, 3, opt);  // the encoder: 1 entry
+  const Stripe stripe(codec);
+  const auto plan_for = [&](uint32_t id) {
+    return codec.plan_reconstruct(all_but(codec, {id}), {id});
+  };
+
+  const auto a = plan_for(1);  // + decoder{1} + plan{1}: full
+  EXPECT_EQ(cache->size(), 3u);
+  EXPECT_EQ(cache->stats().evictions, 0u);
+  const auto a_bytes = stripe.rebuild(*a);
+  EXPECT_EQ(a_bytes, stripe.originals({1}));
+
+  (void)plan_for(2);  // evicts the encoder, then decoder{1}
+  EXPECT_EQ(cache->size(), 3u);
+  EXPECT_EQ(cache->stats().evictions, 2u);
+  (void)plan_for(3);  // evicts plan{1}, then decoder{2}
+  EXPECT_EQ(cache->size(), 3u);
+  EXPECT_EQ(cache->stats().evictions, 4u);
+  EXPECT_EQ(codec.cached_program_count(), 1u);  // decoder{3}; plan{2} and plan{3} besides
+
+  // The evicted plan keeps its evicted decoder alive and still decodes...
+  EXPECT_EQ(stripe.rebuild(*a), a_bytes);
+  // ...and its rebuilt replacement is a new object with the same bytes.
+  const auto rebuilt = plan_for(1);
+  EXPECT_NE(rebuilt.get(), a.get());
+  EXPECT_EQ(stripe.rebuild(*rebuilt), a_bytes);
+  EXPECT_EQ(cache->size(), 3u);
+}
+
+TEST(PlanCache, HotPlanKeepsItsProgramsFresh) {
+  // A plan hit refreshes the decoder it runs, so cold patterns pushing
+  // through a small cache evict other entries first: the hot decoder stays
+  // in the footprint (and so in a saved profile), and another id order of
+  // the hot pattern plans without a recompile.
+  const auto cache = std::make_shared<ec::PlanCache>(6, /*shards=*/1);
+  ec::CodecOptions opt;
+  opt.plan_cache = cache;
+  const ec::RsCodec codec(6, 3, opt);
+  const std::vector<uint32_t> hot{1};
+  const auto available = all_but(codec, hot);
+  const auto plan = codec.plan_reconstruct(available, hot);
+  const auto hot_decoder = [&] {
+    for (const auto& pattern : codec.plan_footprint().patterns)
+      if (pattern.size() > 1 && pattern[0] == 1 &&
+          pattern[1] == ec::BitmatrixCodecCore::kPatternSep)
+        return true;
+    return false;
+  };
+  ASSERT_TRUE(hot_decoder());
+  for (uint32_t cold : {2u, 3u, 4u, 5u, 0u}) {
+    (void)codec.plan_reconstruct(all_but(codec, {cold}), {cold});
+    EXPECT_EQ(codec.plan_reconstruct(available, hot).get(), plan.get());
+  }
+  EXPECT_GT(cache->stats().evictions, 0u);
+  EXPECT_TRUE(hot_decoder());
+
+  const size_t misses = cache->stats().misses;
+  const std::vector<uint32_t> reversed(available.rbegin(), available.rend());
+  const auto other = codec.plan_reconstruct(reversed, hot);
+  EXPECT_EQ(cache->stats().misses, misses);
+  EXPECT_EQ(other->decode_pipeline(), plan->decode_pipeline());
+}
+
+TEST(PlanCache, FootprintListsProgramKeysOnly) {
+  ec::CodecOptions opt;
+  opt.plan_cache = std::make_shared<ec::PlanCache>(0, 4);
+  const ec::RsCodec codec(6, 3, opt);
+  for (const std::vector<uint32_t>& erased :
+       std::vector<std::vector<uint32_t>>{{0}, {1, 7}, {8}, {2, 3, 4}}) {
+    auto available = all_but(codec, erased);
+    (void)codec.plan_reconstruct(available, erased);
+    std::reverse(available.begin(), available.end());
+    (void)codec.plan_reconstruct(available, erased);  // a second plan, same programs
+  }
+  const PlanFootprint fp = codec.plan_footprint();
+  // Encoder, 3 decoders ({0}, {1}, {2,3,4}) and 2 parity subsets ({7}, {8}).
+  EXPECT_EQ(fp.patterns.size(), 6u);
+  EXPECT_EQ(codec.cached_program_count(), fp.patterns.size());
+  EXPECT_EQ(opt.plan_cache->size(), fp.patterns.size() + 8);  // + 8 plans
+  for (const auto& pattern : fp.patterns)
+    EXPECT_TRUE(pattern.empty() || pattern.front() != ec::PlanKey::kPlanTag);
+}
+
+TEST(PlanCache, ConcurrentPlannersShareOnePlanAndOneDecoder) {
+  ec::CodecOptions opt;
+  opt.plan_cache = std::make_shared<ec::PlanCache>(0, ec::PlanCache::kDefaultShards);
+  const ec::RsCodec codec(10, 4, opt);
+  const std::vector<uint32_t> erased{2, 4, 5, 6};
+  const auto available = all_but(codec, erased);
+  constexpr size_t kThreads = 4;
+  std::vector<std::shared_ptr<const ReconstructPlan>> plans(kThreads);
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      ++ready;
+      while (ready.load() < kThreads) std::this_thread::yield();
+      plans[t] = codec.plan_reconstruct(available, erased);
+    });
+  for (auto& t : threads) t.join();
+
+  const Stripe stripe(codec);
+  const auto want = stripe.originals(erased);
+  for (const auto& plan : plans) {
+    ASSERT_NE(plan, nullptr);
+    // Racing builders: first insert wins and every caller gets the winner.
+    EXPECT_EQ(plan.get(), plans[0].get());
+    EXPECT_EQ(plan->decode_pipeline(), plans[0]->decode_pipeline());
+    EXPECT_EQ(stripe.rebuild(*plan), want);
+  }
+  EXPECT_EQ(codec.cached_program_count(), 2u);  // encoder + one decoder
+  EXPECT_EQ(opt.plan_cache->size(), 3u);        // + one plan
+}
+
+TEST(PlanCache, PlanReportsTheAskingCodecsName) {
+  // Two codecs over the same bitmatrix share every compiled program but not
+  // a name: each one's plans report its own codec_name().
+  ec::CodecOptions opt;
+  opt.plan_cache = std::make_shared<ec::PlanCache>(0, 2);
+  altcodes::XorCodeSpec spec = altcodes::sparse_spec(6, 3, 45, 7);
+  const altcodes::XorCodec original(spec, opt);
+  spec.name = "renamed";
+  const altcodes::XorCodec renamed(spec, opt);
+  ASSERT_EQ(original.plan_footprint().matrix_fp, renamed.plan_footprint().matrix_fp);
+  ASSERT_EQ(original.plan_footprint().config_fp, renamed.plan_footprint().config_fp);
+
+  const std::vector<uint32_t> erased{1};
+  const auto available = all_but(original, erased);
+  const auto a = original.plan_reconstruct(available, erased);
+  const auto b = renamed.plan_reconstruct(available, erased);
+  EXPECT_EQ(a->codec_name(), original.name());
+  EXPECT_EQ(b->codec_name(), "renamed");
+  EXPECT_EQ(a->decode_pipeline(), b->decode_pipeline());  // one compiled decoder
+  EXPECT_EQ(original.plan_reconstruct(available, erased).get(), a.get());
+  EXPECT_EQ(renamed.plan_reconstruct(available, erased).get(), b.get());
+
+  // Spec spellings that name one codec share the name and the plan.
+  CodecSpec x = parse_spec("rs(10,4)@matrix=vand");
+  CodecSpec y = parse_spec("vand(10,4)");
+  x.options.plan_cache = y.options.plan_cache = opt.plan_cache;
+  const auto cx = make_codec(x), cy = make_codec(y);
+  EXPECT_EQ(cx->name(), cy->name());
+  const std::vector<uint32_t> rs_erased{0, 11};
+  const auto rs_available = all_but(*cx, rs_erased);
+  const auto px = cx->plan_reconstruct(rs_available, rs_erased);
+  EXPECT_EQ(px->codec_name(), cx->name());
+  EXPECT_EQ(cy->plan_reconstruct(rs_available, rs_erased).get(), px.get());
 }

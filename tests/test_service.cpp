@@ -286,6 +286,44 @@ TEST(CodecService, WarmupRoundTripServesHotPatternsFromCache) {
   std::remove(path.c_str());
 }
 
+TEST(CodecService, ProfileAfterDegradedReadsListsProgramKeysOnly) {
+  // Degraded reads cache finished plans next to the programs; a saved
+  // profile still records the programs alone, and replays cleanly.
+  const std::string path = temp_profile_path("programs_only");
+  size_t programs = 0;
+  {
+    CodecService service(isolated());
+    const auto handle = service.acquire("rs(6,3)");
+    for (const std::vector<uint32_t>& erased :
+         std::vector<std::vector<uint32_t>>{{1, 2}, {0, 7}, {4}}) {
+      auto available = all_but(handle.codec(), erased);
+      (void)handle.plan_reconstruct(available, erased);
+      std::reverse(available.begin(), available.end());
+      (void)handle.plan_reconstruct(available, erased);
+    }
+    programs = handle.codec().cached_program_count();
+    EXPECT_EQ(handle.codec().plan_footprint().patterns.size(), programs);
+    EXPECT_EQ(service.save_profile(path), programs);
+  }
+  const ec::PlanProfile profile = ec::load_plan_profile(path);
+  ASSERT_EQ(profile.entries.size(), 1u);
+  EXPECT_EQ(profile.pattern_count(), programs);
+  for (const auto& pattern : profile.entries[0].patterns)
+    EXPECT_TRUE(pattern.empty() || pattern.front() != ec::PlanKey::kPlanTag);
+
+  CodecService::Options opt = isolated();
+  CodecService service(opt);
+  const auto report = service.warmup(path);
+  EXPECT_EQ(report.patterns, programs - 1);  // all but the encoder, which the pool compiles
+  EXPECT_EQ(report.skipped, 0u);
+  const auto handle = service.acquire("rs(6,3)");
+  EXPECT_EQ(handle.codec().cached_program_count(), programs);
+  // The replay compiled programs and cached no plan: a plan's key is its
+  // caller's id order, and no client has asked yet.
+  EXPECT_EQ(opt.plan_cache->size(), programs);
+  std::remove(path.c_str());
+}
+
 TEST(CodecService, WarmupSpecKeyReplaysProfile) {
   const std::string path = temp_profile_path("speckey");
   {
