@@ -196,45 +196,49 @@ inline void register_decode_plan(const std::string& name,
 }
 
 /// Batched encode benchmark: every cluster of the (shared) set is submitted
-/// through one BatchCoder session per iteration; flush() is the barrier.
-/// Register with threads = 1 for the session-overhead baseline, >= 2 for
-/// stripe-level speedup (each stripe runs on one worker).
-inline void register_encode_batch(const std::string& name,
-                                  std::shared_ptr<const Codec> codec,
+/// per iteration through a lease on `spec` from a one-shard service of
+/// `threads` workers; the service's flush() is the barrier. Register with
+/// threads = 1 for the queueing-overhead baseline, >= 2 for stripe-level
+/// speedup (each stripe runs on one worker). A lease holds no reference to
+/// its service, so the bench keeps the service alive beside it.
+inline void register_encode_batch(const std::string& name, const std::string& spec,
                                   std::shared_ptr<ClusterSet> clusters, size_t threads) {
-  auto batch = std::make_shared<BatchCoder>(codec, threads);
+  auto service = std::make_shared<CodecService>(
+      CodecService::Options{.shards = 1, .workers_per_shard = threads});
+  const ServiceHandle lease = service->acquire(spec);
   benchmark::RegisterBenchmark(
-      name.c_str(), [codec, clusters, batch](benchmark::State& state) {
+      name.c_str(), [service, lease, clusters](benchmark::State& state) {
         for (auto _ : state) {
           for (Cluster& c : *clusters)
-            batch->submit_encode(c.data_ptrs.data(), c.parity_ptrs.data(), c.frag_len);
-          batch->flush();
+            lease.encode(c.data_ptrs.data(), c.parity_ptrs.data(), c.frag_len);
+          service->flush();
           benchmark::ClobberMemory();
         }
         const Cluster& c0 = clusters->front();
         state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                                 static_cast<int64_t>(clusters->size() * c0.n * c0.frag_len));
       })
-      // The work happens on session workers; the calling thread mostly
+      // The work happens on shard workers; the calling thread mostly
       // waits in flush() — only wall time is meaningful.
       ->UseRealTime();
 }
 
 /// Batched decode benchmark: one plan shared by every stripe of the set,
-/// one submit_reconstruct per stripe per iteration.
-inline void register_decode_batch(const std::string& name,
-                                  std::shared_ptr<const Codec> codec,
+/// one reconstruct job per stripe per iteration.
+inline void register_decode_batch(const std::string& name, const std::string& spec,
                                   std::shared_ptr<DecodeSet> fixtures, size_t threads) {
+  auto service = std::make_shared<CodecService>(
+      CodecService::Options{.shards = 1, .workers_per_shard = threads});
+  const ServiceHandle lease = service->acquire(spec);
   auto plan =
-      codec->plan_reconstruct(fixtures->front().available, fixtures->front().erased);
-  auto batch = std::make_shared<BatchCoder>(codec, threads);
+      lease.plan_reconstruct(fixtures->front().available, fixtures->front().erased);
   benchmark::RegisterBenchmark(
-      name.c_str(), [codec, fixtures, plan, batch](benchmark::State& state) {
+      name.c_str(), [service, lease, fixtures, plan](benchmark::State& state) {
         for (auto _ : state) {
           for (DecodeFixture& f : *fixtures)
-            batch->submit_reconstruct(plan, f.avail_ptrs.data(), f.out_ptrs.data(),
-                                      f.cluster->frag_len);
-          batch->flush();
+            lease.reconstruct(plan, f.avail_ptrs.data(), f.out_ptrs.data(),
+                              f.cluster->frag_len);
+          service->flush();
           benchmark::ClobberMemory();
         }
         const Cluster& c0 = *fixtures->front().cluster;

@@ -47,15 +47,16 @@ int main(int argc, char** argv) {
   }
 
   // The batch path at the paper's flagship geometry: 8 stripes per flush,
-  // single-call (batch=1) vs stripe-parallel sessions.
+  // one shard worker vs four.
   {
-    auto ours = codec_for("rs(10,4)" + tuning + ",passes=full");
+    const std::string spec = "rs(10,4)" + tuning + ",passes=full";
+    auto ours = codec_for(spec);
     auto enc_set = make_cluster_set(*ours, 8);
     auto dec_set = make_decode_set(*ours, 8, erased);
     for (size_t t : {1u, 4u}) {
       const std::string suffix = "/rs10_4/t" + std::to_string(t);
-      register_encode_batch("ours_encode_batch" + suffix, ours, enc_set, t);
-      register_decode_batch("ours_decode_batch" + suffix, ours, dec_set, t);
+      register_encode_batch("ours_encode_batch" + suffix, spec, enc_set, t);
+      register_decode_batch("ours_decode_batch" + suffix, spec, dec_set, t);
     }
   }
 

@@ -1,5 +1,5 @@
 // Quickstart: lease any codec from a CodecService by spec string, encode an
-// object through its shard session, lose fragments, reconstruct. Try
+// object through its shard queue, lose fragments, reconstruct. Try
 // "evenodd(6,2)", "star(9)", "cauchy(12,3)", ... — the flow is identical
 // for every family. (make_codec builds a bare, unpooled codec when you do
 // not want the serving façade.)

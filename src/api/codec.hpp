@@ -17,7 +17,7 @@
 // reconstruct() below is a thin plan-lookup-and-execute over the same
 // machinery (the built-in codecs cache finished plans per caller id order,
 // so a repeated one-shot call is a cache hit plus the execute; the plan
-// object additionally skips that lookup and is the handle batch sessions
+// object additionally skips that lookup and is the handle service shards
 // take).
 //
 // Argument validation happens here, at the API boundary: bad fragment
@@ -240,7 +240,7 @@ class Codec {
   /// exception surfaces instead. An empty `erased` yields a no-op plan.
   /// Reuse the plan across stripes/objects with the same erasure pattern —
   /// degraded-read-heavy workloads amortize the solver this way (and
-  /// BatchCoder sessions take plans directly).
+  /// ServiceHandle::reconstruct takes plans directly).
   std::shared_ptr<const ReconstructPlan> plan_reconstruct(
       const std::vector<uint32_t>& available, const std::vector<uint32_t>& erased) const;
 
@@ -275,7 +275,7 @@ class Codec {
   /// Default: a fallback plan that re-runs reconstruct_impl on every
   /// execute() and borrows this codec (must not outlive it). The built-in
   /// codecs override with real compiled plans; overriding is strongly
-  /// recommended for any codec used with plan caching or BatchCoder.
+  /// recommended for any codec used with plan caching or CodecService.
   virtual std::shared_ptr<const ReconstructPlan> plan_reconstruct_impl(
       const std::vector<uint32_t>& available, const std::vector<uint32_t>& erased) const;
 

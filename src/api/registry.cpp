@@ -75,16 +75,6 @@ void apply_option(CodecSpec& cs, const std::string& key, const std::string& valu
     const size_t c = uint_value();
     if (c < 2) fail(cs.spec, "cap must be at least 2 blocks, got \"" + value + "\"");
     opt.pipeline.greedy_capacity = c;
-  } else if (key == "batch") {
-    // Session sizing for BatchCoder(spec); make_codec refuses specs carrying
-    // it (below) so the key is never silently ignored.
-    if (value == "auto") {
-      cs.batch_threads = 0;
-    } else {
-      const size_t b = uint_value();
-      if (b == 0) fail(cs.spec, "batch must be auto or a positive worker count");
-      cs.batch_threads = b;
-    }
   } else if (key == "isa") {
     if (auto isa = kernel::parse_isa(value.c_str())) opt.exec.isa = *isa;
     else fail(cs.spec, "isa must be scalar|word64|avx2|avx512|neon|auto, got \"" + value + "\"");
@@ -354,10 +344,6 @@ CodecSpec parse_spec(const std::string& raw) {
 }
 
 std::unique_ptr<Codec> make_codec(const CodecSpec& spec) {
-  if (std::find(spec.option_keys.begin(), spec.option_keys.end(), "batch") !=
-      spec.option_keys.end())
-    fail(spec.spec, "batch= configures a session, not a codec; construct "
-                    "xorec::BatchCoder(spec) instead");
   if (std::find(spec.option_keys.begin(), spec.option_keys.end(), "warmup") !=
       spec.option_keys.end())
     fail(spec.spec, "warmup= names a service profile, not a codec option; acquire "
@@ -456,7 +442,7 @@ std::string canonical_spec(const CodecSpec& cs) {
     return cs.spec;  // cap= would not re-parse under this schedule
 
   // Option tokens in spec_option_keys() order; defaults are dropped, and
-  // the session/service keys (batch=, warmup=) never name a codec.
+  // the service key warmup= never names a codec.
   std::vector<std::string> opts;
   if (o.exec.block_size != def.exec.block_size)
     opts.push_back("block=" + std::to_string(o.exec.block_size));
@@ -500,9 +486,9 @@ void register_codec_family(const std::string& family, CodecBuilder builder) {
 const std::vector<std::string>& spec_option_keys() {
   // Keep in sync with apply_option above and the grammar in registry.hpp —
   // this list is what help text and error messages print.
-  static const std::vector<std::string> keys = {"block", "isa",    "exec",  "passes",
-                                                "sched", "cap",    "cache", "matrix",
-                                                "batch", "warmup"};
+  static const std::vector<std::string> keys = {"block", "isa",   "exec",   "passes",
+                                                "sched", "cap",   "cache",  "matrix",
+                                                "warmup"};
   return keys;
 }
 

@@ -24,10 +24,6 @@
 //     cache=K        shared (process-wide PlanCache, default) | private
 //                    (per-codec) | N (private with LRU capacity N, 0 = unbounded)
 //     matrix=K       isal | vand | cauchy — RS matrix family override
-//     batch=K        auto | N — BatchCoder session workers (api/batch.hpp);
-//                    auto runs a one-shot measured calibration. Only
-//                    meaningful to BatchCoder(spec) — plain make_codec
-//                    rejects it rather than silently dropping it
 //     warmup=PATH    plan-profile file to replay before serving (no commas
 //                    or whitespace in PATH). Only meaningful to
 //                    CodecService::acquire (api/service.hpp) — plain
@@ -73,8 +69,6 @@ struct CodecSpec {
   ec::CodecOptions options;
   std::vector<std::string> option_keys;  // which '@' keys were given, in order
   std::string spec;  // the original string, whitespace-stripped
-  /// batch= value: 0 = auto; only meaningful when "batch" is in option_keys.
-  size_t batch_threads = 0;
   /// warmup= value: the plan-profile path CodecService::acquire replays.
   std::string warmup_path;
 
@@ -94,9 +88,9 @@ CodecSpec parse_spec(const std::string& spec);
 /// key order is fixed, options equal to their defaults are dropped,
 /// default-able positional args are filled in ("rs(10)" -> "rs(10,4)"),
 /// matrix= folds into the RS family name ("rs(9,3)@matrix=cauchy" ->
-/// "cauchy(9,3)"), and the session/service keys batch=/warmup= are stripped
-/// (they configure a session or service, not the codec). Idempotent; round-trips through
-/// parse_spec. Throws std::invalid_argument on malformed input.
+/// "cauchy(9,3)"), and the service key warmup= is stripped (it configures a
+/// service, not the codec). Idempotent; round-trips through parse_spec.
+/// Throws std::invalid_argument on malformed input.
 std::string canonical_spec(const std::string& spec);
 std::string canonical_spec(const CodecSpec& spec);
 

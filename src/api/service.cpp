@@ -30,12 +30,10 @@ struct CodecService::Pool {
 };
 
 struct CodecService::Shard {
-  explicit Shard(size_t workers) : session(workers) {}
-  BatchCoder session;  // codec-less: every submit names its pool's codec
-  // Payload bytes of handle-routed jobs (ObjectCodec blob jobs ride the
-  // session too but size their own buffers; the session's submitted()
-  // counter covers both).
-  std::atomic<uint64_t> bytes{0};
+  explicit Shard(size_t workers) : queue(workers) {}
+  runtime::TaskQueue queue;
+  std::atomic<size_t> submitted{0};  // jobs routed to this shard so far
+  std::atomic<uint64_t> bytes{0};    // payload bytes of routed jobs
 };
 
 // ---- ServiceHandle ---------------------------------------------------------
@@ -51,8 +49,8 @@ std::shared_ptr<const Codec> ServiceHandle::codec_ptr() const {
 const std::string& ServiceHandle::spec() const { return XOREC_POOL(pool_).spec; }
 size_t ServiceHandle::shard() const { return XOREC_POOL(pool_).shard; }
 
-BatchCoder& ServiceHandle::session() const {
-  return service_->shards_[XOREC_POOL(pool_).shard]->session;
+size_t ServiceHandle::queue_depth() const {
+  return service_->shards_[XOREC_POOL(pool_).shard]->queue.depth();
 }
 
 runtime::TaskFuture ServiceHandle::encode(const uint8_t* const* data,
@@ -62,7 +60,13 @@ runtime::TaskFuture ServiceHandle::encode(const uint8_t* const* data,
   pool.encodes.fetch_add(1, std::memory_order_relaxed);
   shard.bytes.fetch_add(static_cast<uint64_t>(pool.codec->data_fragments()) * frag_len,
                         std::memory_order_relaxed);
-  return shard.session.submit_encode(pool.codec, data, parity, frag_len);
+  std::vector<const uint8_t*> d(data, data + pool.codec->data_fragments());
+  std::vector<uint8_t*> p(parity, parity + pool.codec->parity_fragments());
+  ++shard.submitted;
+  return shard.queue.submit(
+      [codec = pool.codec, d = std::move(d), p = std::move(p), frag_len] {
+        codec->encode(d.data(), p.data(), frag_len);
+      });
 }
 
 std::shared_ptr<const ReconstructPlan> ServiceHandle::plan_reconstruct(
@@ -90,7 +94,14 @@ runtime::TaskFuture ServiceHandle::reconstruct(std::shared_ptr<const Reconstruct
       std::memory_order_relaxed);
   pool.repair_bytes_out.fetch_add(static_cast<uint64_t>(plan->erased().size()) * frag_len,
                                   std::memory_order_relaxed);
-  return shard.session.submit_reconstruct(std::move(plan), available_frags, out, frag_len);
+  std::vector<const uint8_t*> avail(available_frags,
+                                    available_frags + plan->available().size());
+  std::vector<uint8_t*> o(out, out + plan->erased().size());
+  ++shard.submitted;
+  return shard.queue.submit(
+      [plan = std::move(plan), avail = std::move(avail), o = std::move(o), frag_len] {
+        plan->execute(avail.data(), o.data(), frag_len);
+      });
 }
 
 runtime::TaskFuture ServiceHandle::rebuild(std::vector<uint32_t> available,
@@ -110,9 +121,14 @@ runtime::TaskFuture ServiceHandle::rebuild(std::vector<uint32_t> available,
                                  std::memory_order_relaxed);
   pool.repair_bytes_out.fetch_add(static_cast<uint64_t>(erased.size()) * frag_len,
                                   std::memory_order_relaxed);
-  return shard.session.submit_reconstruct(pool.codec, std::move(available),
-                                          available_frags, std::move(erased), out,
-                                          frag_len);
+  std::vector<const uint8_t*> avail(available_frags, available_frags + available.size());
+  std::vector<uint8_t*> o(out, out + erased.size());
+  ++shard.submitted;
+  return shard.queue.submit([codec = pool.codec, available = std::move(available),
+                             erased = std::move(erased), avail = std::move(avail),
+                             o = std::move(o), frag_len] {
+    codec->reconstruct(available, avail.data(), erased, o.data(), frag_len);
+  });
 }
 
 void ServiceHandle::note_net_request(uint64_t bytes_in, uint64_t bytes_out) const {
@@ -147,16 +163,8 @@ CacheStats CodecService::cache_view() const {
 
 CodecService::Pool& CodecService::pool_for(const CodecSpec& parsed) {
   CodecSpec cs = parsed;
-  if (cs.batch_threads != 0 ||
-      std::find(cs.option_keys.begin(), cs.option_keys.end(), "batch") !=
-          cs.option_keys.end())
-    throw std::invalid_argument("CodecService: batch= sizes a standalone BatchCoder; "
-                                "service shards are sized by CodecService::Options");
-  // batch=/warmup= configure the session/service, never the pooled codec.
-  cs.option_keys.erase(std::remove_if(cs.option_keys.begin(), cs.option_keys.end(),
-                                      [](const std::string& k) {
-                                        return k == "batch" || k == "warmup";
-                                      }),
+  // warmup= configures the service, never the pooled codec.
+  cs.option_keys.erase(std::remove(cs.option_keys.begin(), cs.option_keys.end(), "warmup"),
                        cs.option_keys.end());
   cs.warmup_path.clear();
   const std::string key = canonical_spec(cs);
@@ -312,7 +320,7 @@ size_t CodecService::save_profile(const std::string& path) const {
 }
 
 void CodecService::flush() {
-  for (const auto& shard : shards_) shard->session.flush();
+  for (const auto& shard : shards_) shard->queue.wait_idle();
 }
 
 ServiceStats CodecService::stats() const {
@@ -324,12 +332,12 @@ ServiceStats CodecService::stats() const {
     const Shard& s = *shards_[i];
     ShardStats ss;
     ss.shard = i;
-    ss.workers = s.session.threads();
+    ss.workers = s.queue.threads();
     // Depth BEFORE submitted: depth never exceeds the jobs submitted by the
     // time it is read, and submitted only grows — read the other way, a job
     // landing between the loads makes the snapshot show depth > submitted.
-    ss.queue_depth = s.session.pending();
-    ss.submitted = s.session.submitted();  // handle-routed + ObjectCodec blob jobs
+    ss.queue_depth = s.queue.depth();
+    ss.submitted = s.submitted;
     ss.bytes_coded = s.bytes.load(std::memory_order_relaxed);
     ss.throughput_gBps =
         out.uptime_s > 0 ? static_cast<double>(ss.bytes_coded) / out.uptime_s / 1e9 : 0;

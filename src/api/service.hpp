@@ -2,7 +2,7 @@
 // the ROADMAP's "sharded multi-codec service" scale step.
 //
 // A storage frontend serving many tenants does not want to hand-assemble
-// make_codec + BatchCoder + plan wiring per request; it wants a pool:
+// make_codec + worker threads + plan wiring per request; it wants a pool:
 //
 //   xorec::CodecService service;                     // N-way sharded
 //   auto h = service.acquire("rs(10,4)@block=1024"); // pooled codec lease
@@ -15,11 +15,19 @@
 // "rs(10,4)@block=1024,sched=dfs" and "rs(10, 4) @ sched=dfs, block=1024"
 // lease ONE codec instance — and, through the shared PlanCache, one set of
 // compiled programs. Each pool entry is pinned round-robin to a shard; a
-// shard is a codec-less BatchCoder session (dedicated TaskQueue workers),
-// so traffic for different pools proceeds in parallel while the shard's
-// workers start one pool's jobs FIFO. A caller that get()s a job no worker
-// has started yet runs it itself (runtime::TaskFuture), so callers of one
-// pool are not serialized behind its shard's single worker.
+// shard is one runtime::TaskQueue (dedicated workers), so traffic for
+// different pools proceeds in parallel while the shard's workers start one
+// pool's jobs FIFO. A caller that get()s a job no worker has started yet
+// runs it itself (runtime::TaskFuture), so callers of one pool are not
+// serialized behind its shard's single worker. A job over a large stripe
+// also lends its block rows to the shard's idle workers
+// (runtime/executor.hpp).
+//
+// Buffer ownership: the pointer ARRAYS passed to encode/reconstruct/rebuild
+// are copied at submission; the fragment BUFFERS they point to stay
+// caller-owned and must outlive the job (future ready / flush() returned).
+// An exception a job throws (e.g. an unrecoverable pattern on the plan-less
+// rebuild path) is captured in that job's future; flush() never throws it.
 //
 // Warmup/persistence: the plan cache amortizes compilation only when reused,
 // and a fresh process starts cold. save_profile(path) persists the service's
@@ -47,8 +55,8 @@
 #include <unordered_set>
 #include <vector>
 
-#include "api/batch.hpp"
 #include "api/codec.hpp"
+#include "runtime/task_queue.hpp"
 
 namespace xorec::ec {
 class PlanCache;
@@ -80,6 +88,8 @@ struct PoolStats {
   std::string spec;  // canonical pool key
   size_t shard = 0;  // the shard carrying this pool's traffic
   size_t clients = 0;       // acquire() calls resolved to this pool
+  /// Routed jobs, counting an ObjectCodec over a lease too: its blob
+  /// encode is one encode job, its degraded decode one rebuild job.
   size_t encodes = 0;       // routed encode jobs
   size_t plans = 0;         // plan_reconstruct calls through handles
   size_t reconstructs = 0;  // routed reconstruct/rebuild jobs
@@ -128,7 +138,7 @@ struct ServiceStats {
 };
 
 /// A client's lease on one pooled codec: cheap to copy, routed through the
-/// pool's shard session. Obtain from CodecService::acquire.
+/// pool's shard queue. Obtain from CodecService::acquire.
 class ServiceHandle {
  public:
   const Codec& codec() const;
@@ -137,7 +147,9 @@ class ServiceHandle {
   const std::string& spec() const;
   size_t shard() const;
 
-  /// Encode one stripe on the pool's shard (buffer rules as BatchCoder).
+  /// Encode one stripe on the pool's shard: data_fragments() input
+  /// pointers, parity_fragments() output pointers, frag_len as in
+  /// Codec::encode (buffer rules at the top of this file).
   runtime::TaskFuture encode(const uint8_t* const* data, uint8_t* const* parity,
                              size_t frag_len) const;
 
@@ -146,7 +158,9 @@ class ServiceHandle {
   std::shared_ptr<const ReconstructPlan> plan_reconstruct(
       const std::vector<uint32_t>& available, const std::vector<uint32_t>& erased) const;
 
-  /// Execute a prepared plan over one stripe on the pool's shard.
+  /// Execute a prepared plan over one stripe on the pool's shard:
+  /// available_frags parallel to plan->available(), out to plan->erased().
+  /// Throws std::invalid_argument on a null plan.
   runtime::TaskFuture reconstruct(std::shared_ptr<const ReconstructPlan> plan,
                                   const uint8_t* const* available_frags,
                                   uint8_t* const* out, size_t frag_len) const;
@@ -158,8 +172,9 @@ class ServiceHandle {
                               std::vector<uint32_t> erased, uint8_t* const* out,
                               size_t frag_len) const;
 
-  /// The shard session carrying this pool's traffic (ObjectCodec routing).
-  BatchCoder& session() const;
+  /// Jobs on this pool's shard submitted but not yet finished (the shard's
+  /// TaskQueue::depth()) — what NetServer's backpressure reads.
+  size_t queue_depth() const;
 
   /// Attribute one served network request's wire bytes to this pool
   /// (PoolStats::net_*) — called by the net front-end, not by codecs.
@@ -178,7 +193,7 @@ class CodecService {
 
   struct Options {
     size_t shards = 0;             // 0 = kDefaultShards
-    size_t workers_per_shard = 1;  // BatchCoder workers per shard; 0 = auto
+    size_t workers_per_shard = 1;  // TaskQueue workers per shard; 0 runs one
     /// Plan-cache the pooled codecs compile through: null = honor each
     /// spec's own cache= choice (process-shared by default). Injecting a
     /// cache gives the service an isolated compilation domain — tests and

@@ -182,7 +182,7 @@ void RepairOrchestrator::execute_with_payload(
   handle_.encode(data_ptrs.data(), parity_ptrs.data(), frag_len).get();
 
   // Survivor buffers parallel to the plan's available set, outputs parallel
-  // to its erased set; one BatchCoder future on the pool's shard.
+  // to its erased set; one ServiceHandle future on the pool's shard.
   std::vector<const uint8_t*> avail_ptrs;
   for (uint32_t id : plan.available()) avail_ptrs.push_back(frags[id].data());
   std::vector<std::vector<uint8_t>> rebuilt(plan.erased().size(),

@@ -23,8 +23,8 @@
 //     budget is positive, and a dispatched job debits its true byte cost
 //     (budgets may go negative — oversized jobs still make progress, they
 //     just block their nodes for the ticks it takes to repay).
-//   - Dispatched repairs execute as BatchCoder futures through the shared
-//     CodecService; the first `execute_stripes` jobs carry REAL payload
+//   - Dispatched repairs execute as ServiceHandle futures on the shared
+//     CodecService's shards; the first `execute_stripes` jobs carry REAL payload
 //     (deterministic seeded fragments) and are byte-verified end to end,
 //     the rest are traffic-accounted at `chunk_bytes` scale so million-
 //     chunk fleets stay tractable.

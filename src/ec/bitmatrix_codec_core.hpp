@@ -14,7 +14,7 @@
 // Compiled programs — the encoder included — and finished repair plans are
 // memoized in a PlanCache keyed by (matrix fingerprint, config fingerprint,
 // pattern): by default the process-shared instance, so RS(10,4) compiled
-// once serves every codec instance and every BatchCoder session
+// once serves every codec instance and every CodecService pool
 // (CodecOptions picks private/injected caches for isolation).
 #pragma once
 

@@ -4,8 +4,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "api/batch.hpp"
-#include "api/service.hpp"
 #include "ec/rs_codec.hpp"
 
 namespace xorec::ec {
@@ -13,17 +11,6 @@ namespace xorec::ec {
 namespace {
 constexpr char kMagic[4] = {'X', 'S', 'L', 'P'};
 constexpr uint16_t kVersion = 1;
-
-/// A codec-bound session may only route work for the codec it wraps —
-/// anything else would silently code with the wrong matrix. Codec-less
-/// shard sessions (CodecService) carry any codec: every submit below names
-/// this ObjectCodec's codec explicitly.
-void check_session(const BatchCoder* session, const Codec* codec) {
-  if (session && session->has_codec() && &session->codec() != codec)
-    throw std::invalid_argument(
-        "ObjectCodec: session wraps a different codec instance (" +
-        session->codec().name() + " vs " + codec->name() + ")");
-}
 }  // namespace
 
 ObjectCodec::ObjectCodec(std::shared_ptr<const Codec> codec) : codec_(std::move(codec)) {
@@ -34,15 +21,11 @@ ObjectCodec::ObjectCodec(std::shared_ptr<const Codec> codec) : codec_(std::move(
 
 ObjectCodec::ObjectCodec(const xorec::ServiceHandle& handle)
     : ObjectCodec(handle.codec_ptr()) {
-  default_session_ = &handle.session();
+  lease_ = handle;
 }
 
 ObjectCodec::ObjectCodec(size_t n, size_t p, CodecOptions opt)
     : ObjectCodec(std::make_shared<RsCodec>(n, p, std::move(opt))) {}
-
-BatchCoder* ObjectCodec::session_or_default(BatchCoder* session) const {
-  return session ? session : default_session_;
-}
 
 size_t ObjectCodec::payload_len_for(size_t object_size) const {
   const size_t n = codec_->data_fragments();
@@ -81,10 +64,7 @@ std::optional<ObjectCodec::Header> ObjectCodec::read_header(
   return h;
 }
 
-EncodedObject ObjectCodec::encode(const uint8_t* object, size_t size,
-                                  BatchCoder* session) const {
-  session = session_or_default(session);
-  check_session(session, codec_.get());
+EncodedObject ObjectCodec::encode(const uint8_t* object, size_t size) const {
   const size_t n = codec_->data_fragments();
   const size_t p = codec_->parity_fragments();
   const size_t payload = payload_len_for(size);
@@ -108,17 +88,15 @@ EncodedObject ObjectCodec::encode(const uint8_t* object, size_t size,
   for (size_t i = 0; i < n; ++i) data.push_back(out.fragments[i].data() + kHeaderSize);
   for (size_t i = 0; i < p; ++i)
     parity.push_back(out.fragments[n + i].data() + kHeaderSize);
-  if (session)
-    session->submit_encode(codec_, data.data(), parity.data(), payload).get();
+  if (lease_)
+    lease_->encode(data.data(), parity.data(), payload).get();
   else
     codec_->encode(data.data(), parity.data(), payload);
   return out;
 }
 
 std::optional<std::vector<uint8_t>> ObjectCodec::decode(
-    const std::vector<std::vector<uint8_t>>& fragments, BatchCoder* session) const {
-  session = session_or_default(session);
-  check_session(session, codec_.get());
+    const std::vector<std::vector<uint8_t>>& fragments) const {
   const size_t n = codec_->data_fragments();
   const size_t p = codec_->parity_fragments();
 
@@ -161,10 +139,8 @@ std::optional<std::vector<uint8_t>> ObjectCodec::decode(
     std::vector<uint8_t*> outs;
     for (auto& r : rebuilt) outs.push_back(r.data());
     try {
-      if (session)
-        session
-            ->submit_reconstruct(codec_, available, avail_ptrs.data(), erased_data,
-                                 outs.data(), payload)
+      if (lease_)
+        lease_->rebuild(available, avail_ptrs.data(), erased_data, outs.data(), payload)
             .get();  // get() rethrows a job failure here
       else
         codec_->reconstruct(available, avail_ptrs.data(), erased_data, outs.data(), payload);
@@ -191,10 +167,10 @@ std::optional<std::vector<uint8_t>> ObjectCodec::decode(
 }
 
 std::optional<EncodedObject> ObjectCodec::rebuild_all(
-    const std::vector<std::vector<uint8_t>>& fragments, BatchCoder* session) const {
-  const auto object = decode(fragments, session);
+    const std::vector<std::vector<uint8_t>>& fragments) const {
+  const auto object = decode(fragments);
   if (!object) return std::nullopt;
-  return encode(object->data(), object->size(), session);
+  return encode(object->data(), object->size());
 }
 
 }  // namespace xorec::ec

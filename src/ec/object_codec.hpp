@@ -22,12 +22,8 @@
 #include <vector>
 
 #include "api/codec.hpp"
+#include "api/service.hpp"
 #include "ec/bitmatrix_codec_core.hpp"
-
-namespace xorec {
-class BatchCoder;
-class ServiceHandle;
-}
 
 namespace xorec::ec {
 
@@ -43,9 +39,10 @@ class ObjectCodec {
   /// Wrap any codec (shared so callers can keep using it directly too).
   explicit ObjectCodec(std::shared_ptr<const Codec> codec);
 
-  /// Wrap a CodecService lease: the pooled codec plus its shard session as
-  /// the default routing — blob traffic joins the service's bounded worker
-  /// groups without per-call session plumbing. The service must outlive
+  /// Wrap a CodecService lease: the pooled codec, with every encode and
+  /// reconstruct job routed through the lease (ServiceHandle::encode /
+  /// rebuild) onto its shard, so blob traffic joins the service's bounded
+  /// worker groups and counts in its PoolStats. The service must outlive
   /// this ObjectCodec.
   explicit ObjectCodec(const xorec::ServiceHandle& handle);
 
@@ -57,30 +54,21 @@ class ObjectCodec {
   const Codec& codec() const { return *codec_; }
 
   /// Split + pad + encode. Empty objects are legal (fragments carry only
-  /// headers plus minimal padding). With a session, the parity computation
-  /// runs as a submitted job on the session's workers — concurrent callers
-  /// share its bounded worker group instead of each coding inline. A
-  /// codec-bound session must wrap the SAME codec instance (throws
-  /// invalid_argument otherwise); codec-less shard sessions (CodecService)
-  /// route any codec. Passing no session uses the service-handle default
-  /// when constructed from one, else codes inline. The call still returns
-  /// synchronously.
-  EncodedObject encode(const uint8_t* object, size_t size,
-                       BatchCoder* session = nullptr) const;
+  /// headers plus minimal padding). Over a lease the parity computation
+  /// runs as a job on the lease's shard; over a bare codec it runs inline.
+  /// The call returns synchronously either way.
+  EncodedObject encode(const uint8_t* object, size_t size) const;
 
   /// Reassemble the object from any >= n fragments (data or parity, any
   /// order). Returns nullopt when the fragments are inconsistent (mixed
-  /// objects, bad magic, not enough survivors). Optional session as above
-  /// (routes the reconstruct job).
+  /// objects, bad magic, not enough survivors). Missing data payloads are
+  /// rebuilt as encode() codes parity: on the lease's shard, or inline.
   std::optional<std::vector<uint8_t>> decode(
-      const std::vector<std::vector<uint8_t>>& fragments,
-      BatchCoder* session = nullptr) const;
+      const std::vector<std::vector<uint8_t>>& fragments) const;
 
   /// Rebuild the full fragment set (e.g. to re-populate failed nodes).
-  /// Optional session as above.
   std::optional<EncodedObject> rebuild_all(
-      const std::vector<std::vector<uint8_t>>& fragments,
-      BatchCoder* session = nullptr) const;
+      const std::vector<std::vector<uint8_t>>& fragments) const;
 
  private:
   struct Header {
@@ -94,12 +82,10 @@ class ObjectCodec {
   static std::optional<Header> read_header(const std::vector<uint8_t>& frag);
 
   size_t payload_len_for(size_t object_size) const;
-  BatchCoder* session_or_default(BatchCoder* session) const;
 
   std::shared_ptr<const Codec> codec_;
-  /// Default routing from the ServiceHandle constructor (shard session
-  /// owned by the service); null when constructed from a bare codec.
-  BatchCoder* default_session_ = nullptr;
+  /// The lease every job routes through; empty over a bare codec.
+  std::optional<xorec::ServiceHandle> lease_;
 };
 
 }  // namespace xorec::ec

@@ -8,11 +8,11 @@
 // one costs milliseconds (RePair + fusion + scheduling). Per-codec memoization
 // (the old ec::detail::DecodeCache) re-paid that cost for every codec
 // instance; keying on the *content* of the code matrix instead makes the
-// cache process-shared by default: every `make_codec("rs(10,4)")`, every
-// BatchCoder session and every shard of a multi-codec service hits the same
-// compiled entries. Entries are shared_ptr-owned, so eviction never
-// invalidates a plan that is still executing, and a plan keeps the programs
-// it runs alive after they are evicted.
+// cache process-shared by default: every `make_codec("rs(10,4)")` and every
+// shard of a multi-codec service hits the same compiled entries. Entries are
+// shared_ptr-owned, so eviction never invalidates a plan that is still
+// executing, and a plan keeps the programs it runs alive after they are
+// evicted.
 //
 // Two kinds of entry share one LRU, one capacity and one set of counters:
 //   - programs (get_or_build): a miss compiles, counting in `misses` and

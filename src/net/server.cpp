@@ -523,7 +523,7 @@ struct NetServer::Impl {
 
     // Global backpressure: the pool shard's queue is full — park the parsed
     // request (reads pause via can_read) and retry it every pass.
-    if (handle->session().pending() >= opt.max_queue_depth) {
+    if (handle->queue_depth() >= opt.max_queue_depth) {
       if (!retry) backpressure_stalls.fetch_add(1);
       c.deferred = Deferred{h, std::move(body)};
       return;

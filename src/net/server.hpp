@@ -34,7 +34,7 @@
 //     pass; beyond that the loop stops reading that socket until the pass
 //     ends (TCP backpressure reaches the peer).
 //   global: before submitting, the loop checks the pool shard's queue depth
-//     (BatchCoder::pending(), i.e. TaskQueue::depth()); at max_queue_depth
+//     (ServiceHandle::queue_depth(), i.e. TaskQueue::depth()); at max_queue_depth
 //     the parsed request parks in the connection's deferred slot and reads
 //     pause until a later pass finds room — counted in
 //     stats().backpressure_stalls.

@@ -60,7 +60,7 @@ void append_service(const CodecService& service, std::vector<Metric>& out) {
   Emit svc{out, "service"};
   svc.gauge("xorec_service_uptime_seconds", {}, "Seconds since service construction.",
             st.uptime_s);
-  svc.gauge("xorec_service_shards", {}, "Shard (worker-session) count.",
+  svc.gauge("xorec_service_shards", {}, "Shard (worker queue) count.",
             static_cast<double>(st.shards.size()));
   svc.gauge("xorec_service_pools", {}, "Pooled codec instances (creation order, never dropped).",
             static_cast<double>(st.pools.size()));

@@ -11,7 +11,7 @@
 // take parts beside the running thread. Each part runs the same row loop on
 // strip pointers shifted to its first row, with its own scratch from the
 // freelist; parts never split again. Whole stripes still run concurrently
-// (BatchCoder / CodecService), each caller on its own scratch.
+// (CodecService shards), each caller on its own scratch.
 //
 // The row grid is cache-line aware (§7.4, runtime/aligned_buffer.hpp): when
 // a strip spans several blocks and B is a multiple of 64, the first row is
@@ -71,7 +71,7 @@ struct ScratchStats {
 
 /// Owns the scratch pebble arenas for one compiled program at one block
 /// size; reusable across calls. run() is thread-safe: concurrent callers
-/// draw private scratch from a freelist (the BatchCoder stripe-parallel
+/// draw private scratch from a freelist (the CodecService stripe-parallel
 /// path). The freelist is bounded by the high-water concurrency actually
 /// observed, so a burst of callers cannot permanently pin burst-many arenas.
 class Executor {

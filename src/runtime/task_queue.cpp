@@ -67,7 +67,11 @@ std::future_status TaskFuture::wait_for(std::chrono::nanoseconds timeout) const 
 void TaskFuture::get() {
   wait();
   const std::shared_ptr<TaskState> t = std::move(state_);
-  if (t->error) std::rethrow_exception(t->error);
+  // Take the exception out of the task so its last reference drops on this
+  // thread. Dropped by a worker that pops the claimed entry later, its free
+  // is ordered after this thread's handler only by libstdc++'s exception
+  // refcount, which ThreadSanitizer cannot see: it reports a race.
+  if (std::exception_ptr error = std::move(t->error)) std::rethrow_exception(error);
 }
 
 // ---- TaskQueue --------------------------------------------------------------

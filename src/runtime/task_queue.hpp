@@ -3,10 +3,10 @@
 // call may also fan its block rows out across the queue's idle workers
 // through run_parts().
 //
-// api/batch.hpp's BatchCoder sessions submit whole encode/reconstruct jobs
-// here and hand TaskFutures back to the caller; wait_idle() is the flush
-// barrier. Workers start tasks in submission order (FIFO pop); tasks
-// complete in any order.
+// Each CodecService shard (api/service.hpp) is one queue: its ServiceHandle
+// calls submit whole encode/reconstruct jobs here and hand TaskFutures back
+// to the caller; wait_idle() is the flush barrier. Workers start tasks in
+// submission order (FIFO pop); tasks complete in any order.
 //
 // Waiter runs: a thread that wait()s or get()s a task no worker has started
 // yet claims it and runs it itself, instead of queueing behind the workers

@@ -74,7 +74,7 @@ TEST(ServiceStress, ConcurrentMixedSpecTrafficKeepsStatsConsistent) {
           const Codec& codec = h.codec();
           Stripe st = encoded_stripe(codec, static_cast<uint32_t>(rng()));
 
-          // Re-encode the stripe through the shard session.
+          // Re-encode the stripe through the shard queue.
           std::vector<const uint8_t*> data;
           std::vector<uint8_t*> parity;
           for (size_t f = 0; f < codec.data_fragments(); ++f)

@@ -479,17 +479,3 @@ TEST(ObjectCodecGenericExtra, RebuildAllOverEvenodd) {
   ASSERT_TRUE(dec.has_value());
   EXPECT_EQ(*dec, blob);
 }
-
-TEST(Autotune, MarginComparesAgainstTheIncumbentsOwnTime) {
-  // Five candidates: each step is under 5% faster than the last, but the
-  // fifth is 14% faster than the second. A rule that lowers the bar on every
-  // near-miss keeps the first here, which is 16% slower than the fifth.
-  EXPECT_EQ(pick_with_margin({10, 9.6, 9.2, 8.8, 8.6}, 0.05), 4u);
-  // The worker-count sweep's 10% margin, same shape.
-  EXPECT_EQ(pick_with_margin({10, 9.5, 9.0, 8.5}, 0.10), 3u);
-  // Near-misses alone never displace the first candidate.
-  EXPECT_EQ(pick_with_margin({10, 9.6, 9.7}, 0.05), 0u);
-  EXPECT_EQ(pick_with_margin({10}, 0.05), 0u);
-  // A clear win is kept even when later candidates are slower.
-  EXPECT_EQ(pick_with_margin({10, 8, 9, 12}, 0.05), 1u);
-}

@@ -207,18 +207,18 @@ TEST(ExecBackendGrammar, RemovedExecutorKnobsAreSpecErrors) {
     expect_spec_error(spec, "(valid: " + valid + ")");
     EXPECT_THROW(make_codec(spec), std::invalid_argument) << spec;
   }
-  EXPECT_EQ(spec_option_keys().size(), 10u);
+  EXPECT_EQ(spec_option_keys().size(), 9u);
 }
 
 TEST(ExecBackendGrammar, RemovedSchedulerAndCalibrationKeysAreSpecErrors) {
   // The multilevel scheduler and the measured block=auto sweep are gone:
   // sched=multilevel is a bad sched= value, levels= an unknown key whose
-  // error lists the 10 valid ones, and block= takes only a byte count.
+  // error lists the 9 valid ones, and block= takes only a byte count.
   expect_spec_error("rs(6,3)@sched=multilevel",
                     "sched must be none|dfs|greedy, got \"multilevel\"");
   std::string valid;
   for (const std::string& k : spec_option_keys()) valid += (valid.empty() ? "" : ", ") + k;
-  EXPECT_EQ(valid, "block, isa, exec, passes, sched, cap, cache, matrix, batch, warmup");
+  EXPECT_EQ(valid, "block, isa, exec, passes, sched, cap, cache, matrix, warmup");
   expect_spec_error("rs(6,3)@levels=32:512", "unknown option \"levels\"");
   expect_spec_error("rs(6,3)@levels=32:512", "(valid: " + valid + ")");
   expect_spec_error("rs(6,3)@block=auto", "\"auto\" is not a non-negative integer");

@@ -4,6 +4,11 @@
 // any block size, strip length, backend, ISA, or mix of strip line offsets.
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -307,6 +312,36 @@ void in_queue(runtime::TaskQueue& q, Fn&& fn) {
   q.submit(std::forward<Fn>(fn)).get();
 }
 
+/// Move the calling thread to an allowed CPU other than `cpu`, if there is
+/// one. A queue worker woken from the test thread may be placed on the test
+/// thread's CPU, and a scheduler that does not balance load leaves it there:
+/// then it gets no time until the test thread's whole job has run.
+void move_off_cpu(int cpu) {
+#if defined(__linux__)
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (cpu < 0 || sched_getaffinity(0, sizeof allowed, &allowed) != 0) return;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (c == cpu || !CPU_ISSET(c, &allowed)) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(c, &one);
+    pthread_setaffinity_np(pthread_self(), sizeof one, &one);
+    return;
+  }
+#else
+  (void)cpu;
+#endif
+}
+
+int current_cpu() {
+#if defined(__linux__)
+  return sched_getcpu();
+#else
+  return -1;
+#endif
+}
+
 class ExecutorSplit : public ::testing::TestWithParam<runtime::ExecBackend> {};
 
 TEST_P(ExecutorSplit, RowPartsAreByteIdentical) {
@@ -394,15 +429,16 @@ TEST_P(ExecutorSplit, CodecEncodeAndReconstructInATaskMatchTheReference) {
 }
 
 TEST_P(ExecutorSplit, LargeJobOnAOneWorkerQueueRunsOnTwoThreads) {
-  // The encode_10mb shape: one worker, and the caller runs its own job.
-  // The worker is held until the job starts, then takes the job's helper
-  // and runs parts beside the caller: two scratch arenas in use at once.
+  // The encode_10mb shape: 1 MiB fragments (128 KiB strips, 128 rows at
+  // B = 1K), one worker, and the caller runs its own job. The worker is held
+  // on another CPU until the job starts, then takes the job's helper and
+  // runs parts beside the caller: two scratch arenas in use at once.
   runtime::ExecOptions opt;
   opt.block_size = 1024;
   opt.backend = GetParam();
   const ec::RsCodec rs(kData, kParity);
   const ec::CompiledProgram enc(*rs.encode_pipeline(), opt);
-  const size_t strip_len = 64 * 1024;
+  const size_t strip_len = (size_t{1} << 20) / kW;
   const Reference ref(strip_len);
   std::vector<const uint8_t*> in(kIn);
   for (size_t i = 0; i < kIn; ++i) in[i] = ref.strip(i / kW, i % kW, strip_len);
@@ -417,7 +453,9 @@ TEST_P(ExecutorSplit, LargeJobOnAOneWorkerQueueRunsOnTwoThreads) {
   runtime::TaskQueue q(1);
   for (int attempt = 0; attempt < 20 && enc.exec.scratch_stats().high_water < 2; ++attempt) {
     std::atomic<bool> holding{false}, go{false};
+    const int caller_cpu = current_cpu();
     auto hold = q.submit([&] {
+      move_off_cpu(caller_cpu);
       holding = true;
       const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
       while (!go && std::chrono::steady_clock::now() < deadline) std::this_thread::yield();

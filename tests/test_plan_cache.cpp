@@ -85,6 +85,10 @@ struct Stripe {
 // ---- the acceptance shape: one compile serves every codec instance ---------
 
 TEST(PlanCache, SharedAcrossCodecInstances) {
+  // Start from an empty shared cache, so the first rs(9,3) below compiles
+  // even when an earlier test or --gtest_repeat iteration already did.
+  // Counters keep accumulating across clear(); each check is a delta.
+  ec::PlanCache::process_shared()->clear();
   const CacheStats s0 = plan_cache_stats();
   EXPECT_TRUE(s0.shared);
 

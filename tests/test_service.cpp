@@ -1,5 +1,6 @@
-// CodecService: canonical-spec pool sharing, routed multi-tenant traffic,
-// warmup round-trips (save -> fresh service -> warm lookups), and
+// CodecService: canonical-spec pool sharing, routed multi-tenant traffic
+// (byte-verified mixed, split, failing and ObjectCodec jobs on the shard
+// queues), warmup round-trips (save -> fresh service -> warm lookups), and
 // stats-snapshot consistency under concurrent load.
 #include <gtest/gtest.h>
 
@@ -7,6 +8,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <random>
 #include <string>
 #include <thread>
@@ -78,6 +80,27 @@ void roundtrip(const ServiceHandle& handle, const std::vector<uint32_t>& erased,
     ASSERT_EQ(rebuilt[i], frags[erased[i]]) << "fragment " << erased[i];
 }
 
+struct Stripe {
+  std::vector<std::vector<uint8_t>> frags;  // n + p, encoded ground truth
+  std::vector<const uint8_t*> data_ptrs;
+  std::vector<uint8_t*> parity_ptrs;
+};
+
+/// Random data fragments and their parity, coded inline by `codec`.
+Stripe make_stripe(const Codec& codec, size_t frag_len, uint32_t seed) {
+  std::mt19937 rng(seed);
+  Stripe s;
+  s.frags.assign(codec.total_fragments(), std::vector<uint8_t>(frag_len));
+  for (size_t i = 0; i < codec.data_fragments(); ++i)
+    for (auto& b : s.frags[i]) b = static_cast<uint8_t>(rng());
+  for (size_t i = 0; i < codec.data_fragments(); ++i)
+    s.data_ptrs.push_back(s.frags[i].data());
+  for (size_t i = 0; i < codec.parity_fragments(); ++i)
+    s.parity_ptrs.push_back(s.frags[codec.data_fragments() + i].data());
+  codec.encode(s.data_ptrs.data(), s.parity_ptrs.data(), frag_len);
+  return s;
+}
+
 }  // namespace
 
 // ---- canonical-spec normalization ------------------------------------------
@@ -96,8 +119,7 @@ TEST(CanonicalSpec, NormalizesSpellings) {
   EXPECT_EQ(canonical_spec("rs(9,3)@matrix=cauchy"), "cauchy(9,3)");
   EXPECT_EQ(canonical_spec("cauchy(9,3)@matrix=isal"), "rs(9,3)");
   EXPECT_EQ(canonical_spec("cauchy(9,3)"), "cauchy(9,3)");
-  // Session/service keys never name a codec.
-  EXPECT_EQ(canonical_spec("rs(8,2)@batch=4"), "rs(8,2)");
+  // The service key never names a codec.
   EXPECT_EQ(canonical_spec("rs(8,2)@warmup=/tmp/p.txt,block=512"), "rs(8,2)@block=512");
   // Pipeline presets and scheduler knobs keep a stable order.
   EXPECT_EQ(canonical_spec("rs(8,2)@sched=greedy,block=1024,cap=4"),
@@ -163,11 +185,28 @@ TEST(CodecService, EquivalentSpecsShareOnePool) {
 
 TEST(CodecService, RejectsBatchKeyAndBadSpecs) {
   CodecService service(isolated());
-  EXPECT_THROW(service.acquire("rs(6,3)@batch=4"), std::invalid_argument);
   EXPECT_THROW(service.acquire("nope(6,3)"), std::invalid_argument);
-  // make_codec rejects the service/session keys outright.
+  // make_codec rejects the service key outright.
   EXPECT_THROW((void)make_codec("rs(6,3)@warmup=/tmp/p.txt"), std::invalid_argument);
-  EXPECT_THROW((void)make_codec("rs(6,3)@batch=2"), std::invalid_argument);
+  // Shards are sized by CodecService::Options alone: every spec entry point
+  // rejects batch= as an unknown key, naming it.
+  const std::vector<std::function<void(const std::string&)>> entry_points{
+      [](const std::string& s) { (void)parse_spec(s); },
+      [](const std::string& s) { (void)canonical_spec(s); },
+      [](const std::string& s) { (void)make_codec(s); },
+      [&](const std::string& s) { (void)service.acquire(s); }};
+  for (const char* spec : {"rs(6,3)@batch=4", "rs(6,3)@block=1024,batch=auto"}) {
+    for (size_t i = 0; i < entry_points.size(); ++i) {
+      try {
+        entry_points[i](spec);
+        ADD_FAILURE() << "entry point " << i << " accepted " << spec;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("unknown option \"batch\""), std::string::npos)
+            << "entry point " << i << ": " << e.what();
+      }
+    }
+  }
+  EXPECT_TRUE(service.stats().pools.empty());
 }
 
 // ---- routed traffic ---------------------------------------------------------
@@ -246,6 +285,188 @@ TEST(CodecService, StatsSnapshotsStayConsistentUnderLoad) {
   for (const ShardStats& sh : s.shards) shard_jobs += sh.submitted;
   EXPECT_EQ(shard_jobs, s.pools[0].encodes + s.pools[0].reconstructs);
   EXPECT_GT(s.uptime_s, 0.0);
+}
+
+TEST(CodecService, RoundTrips64MixedJobsConcurrently) {
+  // 64 jobs on one four-worker shard, interleaved: encodes, plan repairs and
+  // plan-less rebuilds, every stripe byte-verified.
+  CodecService service(isolated(1, 4));
+  const ServiceHandle h = service.acquire("rs(6,3)@block=512");
+  const Codec& codec = h.codec();
+  const size_t n = codec.data_fragments(), frag_len = codec.fragment_multiple() * 64;
+  EXPECT_EQ(service.stats().shards[h.shard()].workers, 4u);
+
+  constexpr size_t kEncodes = 32, kRepairs = 32;
+  // Encode jobs: ground truth computed inline first, parity zeroed, the
+  // shard must rebuild it bit-for-bit.
+  std::vector<Stripe> enc(kEncodes);
+  std::vector<std::vector<std::vector<uint8_t>>> truth(kEncodes);
+  // Repair jobs: one data + one parity erasure, half through a shared plan,
+  // half through the plan-less path.
+  const std::vector<uint32_t> erased{0, static_cast<uint32_t>(n)};
+  const std::vector<uint32_t> available = all_but(codec, erased);
+  const auto plan = h.plan_reconstruct(available, erased);
+  std::vector<Stripe> rep(kRepairs);
+  std::vector<std::vector<const uint8_t*>> rep_avail(kRepairs);
+  std::vector<std::vector<std::vector<uint8_t>>> rep_out(kRepairs);
+  std::vector<std::vector<uint8_t*>> rep_out_ptrs(kRepairs);
+
+  std::vector<runtime::TaskFuture> futs;
+  for (size_t j = 0; j < kEncodes; ++j) {  // interleave the two job kinds
+    {
+      enc[j] = make_stripe(codec, frag_len, static_cast<uint32_t>(j));
+      for (size_t i = 0; i < codec.parity_fragments(); ++i) {
+        truth[j].push_back(enc[j].frags[n + i]);
+        std::fill(enc[j].frags[n + i].begin(), enc[j].frags[n + i].end(), 0);
+      }
+      futs.push_back(h.encode(enc[j].data_ptrs.data(), enc[j].parity_ptrs.data(), frag_len));
+    }
+    {
+      rep[j] = make_stripe(codec, frag_len, static_cast<uint32_t>(1000 + j));
+      for (uint32_t id : available) rep_avail[j].push_back(rep[j].frags[id].data());
+      rep_out[j].assign(erased.size(), std::vector<uint8_t>(frag_len));
+      for (auto& o : rep_out[j]) rep_out_ptrs[j].push_back(o.data());
+      if (j % 2 == 0)
+        futs.push_back(
+            h.reconstruct(plan, rep_avail[j].data(), rep_out_ptrs[j].data(), frag_len));
+      else
+        futs.push_back(h.rebuild(available, rep_avail[j].data(), erased,
+                                 rep_out_ptrs[j].data(), frag_len));
+    }
+  }
+  EXPECT_EQ(service.stats().shards[h.shard()].submitted, kEncodes + kRepairs);
+  service.flush();
+  for (auto& f : futs) ASSERT_NO_THROW(f.get());
+
+  for (size_t j = 0; j < kEncodes; ++j)
+    for (size_t i = 0; i < codec.parity_fragments(); ++i)
+      ASSERT_EQ(enc[j].frags[n + i], truth[j][i]) << "encode stripe " << j;
+  for (size_t j = 0; j < kRepairs; ++j)
+    for (size_t i = 0; i < erased.size(); ++i)
+      ASSERT_EQ(rep_out[j][i], rep[j].frags[erased[i]]) << "repair stripe " << j;
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.pools[0].encodes, kEncodes);
+  EXPECT_EQ(stats.pools[0].reconstructs, kRepairs);
+}
+
+TEST(CodecService, SplitStripesMatchAndCountOncePerSubmit) {
+  // 64 KiB strips are 64 rows at B = 1K: each job splits into row parts on
+  // the one-worker shard, yet counts as one submitted job.
+  CodecService service(isolated(1, 1));
+  const ServiceHandle h = service.acquire("rs(4,2)@block=1024");
+  const Codec& codec = h.codec();
+  const size_t n = codec.data_fragments(), frag_len = codec.fragment_multiple() * 64 * 1024;
+  constexpr size_t kStripes = 4;
+  std::vector<Stripe> stripes(kStripes);
+  std::vector<std::vector<std::vector<uint8_t>>> truth(kStripes);
+  std::vector<runtime::TaskFuture> futs;
+  for (size_t s = 0; s < kStripes; ++s) {
+    // Ground truth from a direct, unsplit encode; then zero the parity.
+    stripes[s] = make_stripe(codec, frag_len, static_cast<uint32_t>(300 + s));
+    truth[s].assign(stripes[s].frags.begin() + n, stripes[s].frags.end());
+    for (size_t f = n; f < stripes[s].frags.size(); ++f)
+      std::fill(stripes[s].frags[f].begin(), stripes[s].frags[f].end(), uint8_t{0});
+    futs.push_back(
+        h.encode(stripes[s].data_ptrs.data(), stripes[s].parity_ptrs.data(), frag_len));
+  }
+  ShardStats shard = service.stats().shards[h.shard()];
+  EXPECT_EQ(shard.submitted, kStripes);
+  EXPECT_LE(shard.queue_depth, kStripes);
+  EXPECT_LE(h.queue_depth(), kStripes);
+  for (auto& f : futs) f.get();
+  service.flush();
+  shard = service.stats().shards[h.shard()];
+  EXPECT_EQ(shard.submitted, kStripes);
+  EXPECT_EQ(shard.queue_depth, 0u);
+  EXPECT_EQ(h.queue_depth(), 0u);
+  for (size_t s = 0; s < kStripes; ++s)
+    for (size_t j = 0; j < truth[s].size(); ++j)
+      EXPECT_EQ(stripes[s].frags[n + j], truth[s][j]) << "stripe " << s << " parity " << j;
+}
+
+TEST(CodecService, JobFailureArrivesThroughTheFuture) {
+  CodecService service(isolated(1, 2));
+  const ServiceHandle h = service.acquire("rs(4,2)");
+  const Codec& codec = h.codec();
+  const size_t frag_len = codec.fragment_multiple() * 8;
+  auto s = make_stripe(codec, frag_len, 9);
+  // Too few survivors: the plan-less job throws inside the shard.
+  std::vector<const uint8_t*> avail{s.frags[0].data(), s.frags[1].data(),
+                                    s.frags[2].data()};
+  std::vector<uint8_t> out(frag_len);
+  uint8_t* outp = out.data();
+  auto fut = h.rebuild({0, 1, 2}, avail.data(), {3}, &outp, frag_len);
+  EXPECT_THROW(fut.get(), std::invalid_argument);
+  service.flush();
+  EXPECT_THROW(h.reconstruct(nullptr, avail.data(), &outp, frag_len), std::invalid_argument);
+  // The service stays usable.
+  roundtrip(h, {1, 4}, 10);
+  EXPECT_EQ(h.queue_depth(), 0u);
+}
+
+TEST(CodecService, LeaseObjectCodecMatchesInlineObjectCodec) {
+  // An ObjectCodec over a lease routes its jobs onto the shard; its bytes
+  // match an ObjectCodec coding inline over the same codec.
+  CodecService service(isolated(1, 3));
+  const ServiceHandle h = service.acquire("evenodd(4,2)");
+  ec::ObjectCodec leased(h);
+  const ec::ObjectCodec inline_blobs(h.codec_ptr());
+
+  std::vector<uint8_t> blob(10000);
+  std::mt19937 rng(17);
+  for (auto& b : blob) b = static_cast<uint8_t>(rng());
+
+  const auto enc = leased.encode(blob.data(), blob.size());
+  const auto plain = inline_blobs.encode(blob.data(), blob.size());
+  EXPECT_EQ(enc.fragments, plain.fragments);
+
+  // Drop one data + one parity fragment; decode through the lease.
+  std::vector<std::vector<uint8_t>> survivors;
+  for (size_t id = 0; id < enc.fragments.size(); ++id)
+    if (id != 1 && id != 5) survivors.push_back(enc.fragments[id]);
+  const auto dec = leased.decode(survivors);
+  ASSERT_TRUE(dec.has_value());
+  EXPECT_EQ(*dec, blob);
+
+  const auto rebuilt = leased.rebuild_all(survivors);
+  ASSERT_TRUE(rebuilt.has_value());
+  EXPECT_EQ(rebuilt->fragments, enc.fragments);
+
+  // encode, decode, and rebuild_all's decode + encode: two jobs of each
+  // kind, all counted in the pool's stats.
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.pools[0].encodes, 2u);
+  EXPECT_EQ(stats.pools[0].reconstructs, 2u);
+  EXPECT_EQ(stats.shards[h.shard()].submitted, 4u);
+}
+
+TEST(CodecService, ManyStripesOverOnePlanByteIdentical) {
+  // One plan, >= 100 stripes, byte parity with the encoded ground truth,
+  // all through a concurrent shard.
+  CodecService service(isolated(1, 4));
+  const ServiceHandle h = service.acquire("star(5)");
+  const Codec& codec = h.codec();
+  const size_t frag_len = codec.fragment_multiple() * 8;
+  const std::vector<uint32_t> erased{0, 1};
+  const std::vector<uint32_t> available = all_but(codec, erased);
+  const auto plan = h.plan_reconstruct(available, erased);
+
+  constexpr size_t kStripes = 120;
+  std::vector<Stripe> stripes(kStripes);
+  std::vector<std::vector<const uint8_t*>> avail(kStripes);
+  std::vector<std::vector<std::vector<uint8_t>>> outs(kStripes);
+  std::vector<std::vector<uint8_t*>> out_ptrs(kStripes);
+  for (size_t s = 0; s < kStripes; ++s) {
+    stripes[s] = make_stripe(codec, frag_len, static_cast<uint32_t>(7000 + s));
+    for (uint32_t id : available) avail[s].push_back(stripes[s].frags[id].data());
+    outs[s].assign(erased.size(), std::vector<uint8_t>(frag_len));
+    for (auto& o : outs[s]) out_ptrs[s].push_back(o.data());
+    h.reconstruct(plan, avail[s].data(), out_ptrs[s].data(), frag_len);
+  }
+  service.flush();
+  for (size_t s = 0; s < kStripes; ++s)
+    for (size_t i = 0; i < erased.size(); ++i)
+      ASSERT_EQ(outs[s][i], stripes[s].frags[erased[i]]) << "stripe " << s;
 }
 
 // ---- warmup round-trip ------------------------------------------------------
@@ -406,7 +627,7 @@ TEST(CodecService, ObjectCodecRoutesThroughTheLeaseShard) {
   const auto dec = blobs.decode(enc.fragments);
   ASSERT_TRUE(dec.has_value());
   EXPECT_EQ(*dec, object);
-  // The blob jobs really went through the shard session.
+  // The blob jobs really went through the shard queue.
   const ServiceStats stats = service.stats();
   EXPECT_GT(stats.shards[handle.shard()].submitted, 0u);
 }

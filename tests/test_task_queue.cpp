@@ -1,6 +1,7 @@
-// BatchCoder sessions and the runtime::TaskQueue underneath them. The
-// headline test round-trips 64+ mixed encode/reconstruct jobs concurrently
-// (the batch acceptance bar) and byte-verifies every stripe.
+// runtime::TaskQueue, the worker queue under every CodecService shard:
+// FIFO starts, waiter-run claims, depth()/wait_idle() accounting and
+// run_parts() helpers. The byte-checking service-level tests live in
+// test_service.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,11 +9,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <random>
 #include <thread>
 
-#include "api/xorec.hpp"
-#include "ec/object_codec.hpp"
 #include "runtime/task_queue.hpp"
 
 using namespace xorec;
@@ -223,6 +221,47 @@ TEST(TaskQueue, WaiterRunTaskRethrowsAndTheQueueStaysUsable) {
   EXPECT_EQ(q.depth(), 0u);
 }
 
+TEST(TaskQueue, WaiterRunExceptionIsFreedByTheThreadThatCaughtIt) {
+  // A waiter runs the failing job; the worker pops the claimed entry only
+  // after the waiter's handler is done, and drops the task state there. The
+  // exception must not live on in that state: freed on the worker, it is
+  // ordered after the handler's reads only through libstdc++'s refcount,
+  // which ThreadSanitizer cannot see (a report under NetServer's loop).
+  struct Tracked : std::runtime_error {
+    explicit Tracked(std::atomic<std::thread::id>* freed_on)
+        : std::runtime_error("job failed"), freed_on(freed_on) {}
+    ~Tracked() override { freed_on->store(std::this_thread::get_id()); }
+    std::atomic<std::thread::id>* freed_on;
+  };
+  std::atomic<std::thread::id> freed_on{};
+  Gate gate;
+  runtime::TaskQueue q(1);
+  std::atomic<bool> holding{false};
+  auto hold = q.submit([&] {
+    holding = true;
+    gate.wait();
+  });
+  ASSERT_TRUE(eventually(holding));
+
+  auto bad = q.submit([&] { throw Tracked(&freed_on); });
+  try {
+    bad.get();
+    ADD_FAILURE() << "the job's exception was lost";
+  } catch (const Tracked& e) {
+    EXPECT_STREQ(e.what(), "job failed");
+  }
+  EXPECT_EQ(freed_on.load(), std::this_thread::get_id());
+
+  // The worker pops the claimed entry before it runs this one.
+  std::atomic<bool> after{false};
+  auto next = q.submit([&] { after = true; });
+  gate.release();
+  ASSERT_TRUE(eventually(after));
+  hold.get();
+  next.get();
+  EXPECT_EQ(freed_on.load(), std::this_thread::get_id());
+}
+
 TEST(TaskQueue, DestructorWaitsForAWaiterRunTask) {
   Gate worker_gate, waiter_gate;
   std::atomic<bool> holding{false}, claimed{false}, finished{false};
@@ -368,233 +407,4 @@ TEST(TaskQueue, RunPartsHelpersAreNotCountedAsJobs) {
   hold.get();
   q.wait_idle();
   EXPECT_EQ(q.depth(), 0u);
-}
-
-// ---- BatchCoder ------------------------------------------------------------
-
-namespace {
-
-struct Stripe {
-  std::vector<std::vector<uint8_t>> frags;  // n + p, encoded ground truth
-  std::vector<const uint8_t*> data_ptrs;
-  std::vector<uint8_t*> parity_ptrs;
-};
-
-Stripe make_stripe(const Codec& codec, size_t frag_len, uint32_t seed) {
-  std::mt19937 rng(seed);
-  Stripe s;
-  s.frags.assign(codec.total_fragments(), std::vector<uint8_t>(frag_len));
-  for (size_t i = 0; i < codec.data_fragments(); ++i)
-    for (auto& b : s.frags[i]) b = static_cast<uint8_t>(rng());
-  for (size_t i = 0; i < codec.data_fragments(); ++i)
-    s.data_ptrs.push_back(s.frags[i].data());
-  for (size_t i = 0; i < codec.parity_fragments(); ++i)
-    s.parity_ptrs.push_back(s.frags[codec.data_fragments() + i].data());
-  codec.encode(s.data_ptrs.data(), s.parity_ptrs.data(), frag_len);
-  return s;
-}
-
-}  // namespace
-
-TEST(BatchCoder, RoundTrips64MixedJobsConcurrently) {
-  auto codec = std::shared_ptr<const Codec>(make_codec("rs(6,3)@block=512"));
-  const size_t n = codec->data_fragments(), frag_len = codec->fragment_multiple() * 64;
-  BatchCoder batch(codec, 4);
-  EXPECT_EQ(batch.threads(), 4u);
-
-  constexpr size_t kEncodes = 32, kRepairs = 32;
-  // Encode jobs: ground truth computed inline first, parity zeroed, the
-  // session must rebuild it bit-for-bit.
-  std::vector<Stripe> enc(kEncodes);
-  std::vector<std::vector<std::vector<uint8_t>>> truth(kEncodes);
-  // Repair jobs: one data + one parity erasure, half through a shared plan,
-  // half through the plan-less path.
-  const std::vector<uint32_t> erased{0, static_cast<uint32_t>(n)};
-  std::vector<uint32_t> available;
-  for (uint32_t id = 0; id < codec->total_fragments(); ++id)
-    if (std::find(erased.begin(), erased.end(), id) == erased.end())
-      available.push_back(id);
-  const auto plan = codec->plan_reconstruct(available, erased);
-  std::vector<Stripe> rep(kRepairs);
-  std::vector<std::vector<const uint8_t*>> rep_avail(kRepairs);
-  std::vector<std::vector<std::vector<uint8_t>>> rep_out(kRepairs);
-  std::vector<std::vector<uint8_t*>> rep_out_ptrs(kRepairs);
-
-  std::vector<runtime::TaskFuture> futs;
-  for (size_t j = 0; j < kEncodes; ++j) {  // interleave the two job kinds
-    {
-      enc[j] = make_stripe(*codec, frag_len, static_cast<uint32_t>(j));
-      for (size_t i = 0; i < codec->parity_fragments(); ++i) {
-        truth[j].push_back(enc[j].frags[n + i]);
-        std::fill(enc[j].frags[n + i].begin(), enc[j].frags[n + i].end(), 0);
-      }
-      futs.push_back(
-          batch.submit_encode(enc[j].data_ptrs.data(), enc[j].parity_ptrs.data(), frag_len));
-    }
-    {
-      rep[j] = make_stripe(*codec, frag_len, static_cast<uint32_t>(1000 + j));
-      for (uint32_t id : available) rep_avail[j].push_back(rep[j].frags[id].data());
-      rep_out[j].assign(erased.size(), std::vector<uint8_t>(frag_len));
-      for (auto& o : rep_out[j]) rep_out_ptrs[j].push_back(o.data());
-      if (j % 2 == 0)
-        futs.push_back(batch.submit_reconstruct(plan, rep_avail[j].data(),
-                                                rep_out_ptrs[j].data(), frag_len));
-      else
-        futs.push_back(batch.submit_reconstruct(available, rep_avail[j].data(), erased,
-                                                rep_out_ptrs[j].data(), frag_len));
-    }
-  }
-  EXPECT_EQ(batch.submitted(), kEncodes + kRepairs);
-  batch.flush();
-  for (auto& f : futs) ASSERT_NO_THROW(f.get());
-
-  for (size_t j = 0; j < kEncodes; ++j)
-    for (size_t i = 0; i < codec->parity_fragments(); ++i)
-      ASSERT_EQ(enc[j].frags[n + i], truth[j][i]) << "encode stripe " << j;
-  for (size_t j = 0; j < kRepairs; ++j)
-    for (size_t i = 0; i < erased.size(); ++i)
-      ASSERT_EQ(rep_out[j][i], rep[j].frags[erased[i]]) << "repair stripe " << j;
-}
-
-TEST(BatchCoder, SpecStringConstruction) {
-  BatchCoder two("rs(5,2)@batch=2");
-  EXPECT_EQ(two.threads(), 2u);
-  EXPECT_EQ(two.codec().name(), "rs(5,2)");
-
-  BatchCoder aut("rs(5,2)@block=512,batch=auto");
-  EXPECT_GE(aut.threads(), 1u);
-
-  // Codec options still apply alongside batch=.
-  BatchCoder tuned("cauchy(5,2)@block=512,batch=3");
-  EXPECT_EQ(tuned.threads(), 3u);
-  EXPECT_EQ(tuned.codec().name(), "cauchy(5,2)");
-
-  // batch= is a session key: plain make_codec must reject, not ignore it.
-  EXPECT_THROW(make_codec("rs(5,2)@batch=2"), std::invalid_argument);
-  EXPECT_THROW(BatchCoder("rs(5,2)@batch=0"), std::invalid_argument);
-  EXPECT_THROW(BatchCoder("rs(5,2)@batch=many"), std::invalid_argument);
-  EXPECT_THROW(BatchCoder(std::shared_ptr<const Codec>(), 2), std::invalid_argument);
-}
-
-TEST(BatchCoder, SplitStripesMatchAndCountOncePerSubmit) {
-  // 64 KiB strips are 64 rows at B = 1K: each job splits into row parts on
-  // the one-worker session, yet counts as one submitted job.
-  auto codec = std::shared_ptr<const Codec>(make_codec("rs(4,2)@block=1024"));
-  const size_t n = codec->data_fragments(), frag_len = codec->fragment_multiple() * 64 * 1024;
-  BatchCoder batch(codec, 1);
-  constexpr size_t kStripes = 4;
-  std::vector<Stripe> stripes(kStripes);
-  std::vector<std::vector<std::vector<uint8_t>>> truth(kStripes);
-  std::vector<runtime::TaskFuture> futs;
-  for (size_t s = 0; s < kStripes; ++s) {
-    // Ground truth from a direct, unsplit encode; then zero the parity.
-    stripes[s] = make_stripe(*codec, frag_len, static_cast<uint32_t>(300 + s));
-    truth[s].assign(stripes[s].frags.begin() + n, stripes[s].frags.end());
-    for (size_t f = n; f < stripes[s].frags.size(); ++f)
-      std::fill(stripes[s].frags[f].begin(), stripes[s].frags[f].end(), uint8_t{0});
-    futs.push_back(batch.submit_encode(stripes[s].data_ptrs.data(),
-                                       stripes[s].parity_ptrs.data(), frag_len));
-  }
-  EXPECT_EQ(batch.submitted(), kStripes);
-  EXPECT_LE(batch.pending(), kStripes);
-  for (auto& f : futs) f.get();
-  batch.flush();
-  EXPECT_EQ(batch.submitted(), kStripes);
-  EXPECT_EQ(batch.pending(), 0u);
-  for (size_t s = 0; s < kStripes; ++s)
-    for (size_t j = 0; j < truth[s].size(); ++j)
-      EXPECT_EQ(stripes[s].frags[n + j], truth[s][j]) << "stripe " << s << " parity " << j;
-}
-
-TEST(BatchCoder, JobFailureArrivesThroughTheFuture) {
-  auto codec = std::shared_ptr<const Codec>(make_codec("rs(4,2)"));
-  BatchCoder batch(codec, 2);
-  const size_t frag_len = codec->fragment_multiple() * 8;
-  auto s = make_stripe(*codec, frag_len, 9);
-  // Too few survivors: the plan-less job throws inside the worker.
-  std::vector<const uint8_t*> avail{s.frags[0].data(), s.frags[1].data(),
-                                    s.frags[2].data()};
-  std::vector<uint8_t> out(frag_len);
-  uint8_t* outp = out.data();
-  auto fut = batch.submit_reconstruct({0, 1, 2}, avail.data(), {3}, &outp, frag_len);
-  EXPECT_THROW(fut.get(), std::invalid_argument);
-  batch.flush();  // session stays usable
-  EXPECT_THROW(batch.submit_reconstruct(nullptr, avail.data(), &outp, frag_len),
-               std::invalid_argument);
-}
-
-TEST(BatchCoder, ObjectCodecRoutesThroughTheSession) {
-  auto codec = std::shared_ptr<const Codec>(make_codec("evenodd(4,2)"));
-  ec::ObjectCodec blobs(codec);
-  BatchCoder session(codec, 3);
-
-  std::vector<uint8_t> blob(10000);
-  std::mt19937 rng(17);
-  for (auto& b : blob) b = static_cast<uint8_t>(rng());
-
-  auto enc = blobs.encode(blob.data(), blob.size(), &session);
-  auto plain = blobs.encode(blob.data(), blob.size());
-  EXPECT_EQ(enc.fragments, plain.fragments);
-
-  // Drop one data + one parity fragment; decode through the session.
-  std::vector<std::vector<uint8_t>> survivors;
-  for (size_t id = 0; id < enc.fragments.size(); ++id)
-    if (id != 1 && id != 5) survivors.push_back(enc.fragments[id]);
-  const auto dec = blobs.decode(survivors, &session);
-  ASSERT_TRUE(dec.has_value());
-  EXPECT_EQ(*dec, blob);
-
-  const auto rebuilt = blobs.rebuild_all(survivors, &session);
-  ASSERT_TRUE(rebuilt.has_value());
-  EXPECT_EQ(rebuilt->fragments, enc.fragments);
-
-  // A session over a different codec instance is refused.
-  auto other = std::shared_ptr<const Codec>(make_codec("evenodd(4,2)"));
-  BatchCoder wrong(other, 1);
-  EXPECT_THROW(blobs.decode(survivors, &wrong), std::invalid_argument);
-}
-
-TEST(BatchCoder, ManyStripesOverOnePlanByteIdentical) {
-  // The acceptance shape end to end: one plan, >= 100 stripes, byte parity
-  // with one-shot reconstruct, all through a concurrent session.
-  auto codec = std::shared_ptr<const Codec>(make_codec("star(5)"));
-  const size_t frag_len = codec->fragment_multiple() * 8;
-  const std::vector<uint32_t> erased{0, 1};
-  std::vector<uint32_t> available;
-  for (uint32_t id = 0; id < codec->total_fragments(); ++id)
-    if (id != 0 && id != 1) available.push_back(id);
-  const auto plan = codec->plan_reconstruct(available, erased);
-
-  BatchCoder batch(codec, 4);
-  constexpr size_t kStripes = 120;
-  std::vector<Stripe> stripes(kStripes);
-  std::vector<std::vector<const uint8_t*>> avail(kStripes);
-  std::vector<std::vector<std::vector<uint8_t>>> outs(kStripes);
-  std::vector<std::vector<uint8_t*>> out_ptrs(kStripes);
-  for (size_t s = 0; s < kStripes; ++s) {
-    stripes[s] = make_stripe(*codec, frag_len, static_cast<uint32_t>(7000 + s));
-    for (uint32_t id : available) avail[s].push_back(stripes[s].frags[id].data());
-    outs[s].assign(erased.size(), std::vector<uint8_t>(frag_len));
-    for (auto& o : outs[s]) out_ptrs[s].push_back(o.data());
-    batch.submit_reconstruct(plan, avail[s].data(), out_ptrs[s].data(), frag_len);
-  }
-  batch.flush();
-  for (size_t s = 0; s < kStripes; ++s)
-    for (size_t i = 0; i < erased.size(); ++i)
-      ASSERT_EQ(outs[s][i], stripes[s].frags[erased[i]]) << "stripe " << s;
-}
-
-TEST(BatchCoder, AutoWorkerCountIsMeasuredOnceAndMemoized) {
-  // batch=auto runs a one-shot calibration sweep; the result is a sane
-  // worker count, memoized for the process (two auto sessions agree).
-  const size_t measured = auto_batch_workers();
-  EXPECT_GE(measured, 1u);
-  const size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  EXPECT_LE(measured, hw);
-  EXPECT_EQ(auto_batch_workers(), measured);  // memoized, not re-measured
-
-  BatchCoder a("rs(4,2)@batch=auto");
-  BatchCoder b(std::shared_ptr<const Codec>(make_codec("rs(4,2)")), 0);
-  EXPECT_EQ(a.threads(), measured);
-  EXPECT_EQ(b.threads(), measured);
 }
