@@ -78,7 +78,6 @@ int main() {
                            "lrc(8,2,2)", "piggyback(8,3,2)", "sparse(8,3,45,1)"})
     print_family_stats(spec);
 
-  std::printf("\n(#x follows the paper's fused-instruction count; see DESIGN.md "
-              "metric conventions.)\n");
+  std::printf("\n(#x follows the paper's fused-instruction count.)\n");
   return 0;
 }

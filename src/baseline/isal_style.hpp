@@ -1,4 +1,4 @@
-// ISA-L-style baseline (DESIGN.md substitution #1): systematic RS(n, p)
+// ISA-L-style baseline (ISA-L itself is not a dependency): systematic RS(n, p)
 // computed as matrix multiplication over GF(2^8) with table-driven SIMD
 // multiplication — the approach the paper compares against (§1 method (1),
 // §7.6).

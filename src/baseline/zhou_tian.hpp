@@ -1,5 +1,5 @@
-// Comparator in the style of Zhou & Tian [103] (source never released; see
-// DESIGN.md substitution #2): bitmatrix XOR scheduling *without* SLPs.
+// Comparator in the style of Zhou & Tian [103] (source never released, so
+// this is a reimplementation): bitmatrix XOR scheduling *without* SLPs.
 //
 // Stage (i) — XOR reduction ([48, 82] style): each output row is computed
 // either from scratch or incrementally from the nearest previously computed

@@ -7,7 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "kernel/xor_kernel.hpp"
+#include "kernel/xor_loops.hpp"
 
 namespace xorec::kernel {
 

@@ -15,6 +15,11 @@
 // (dst ^= srcs[0] ^ ... — dst is an implicit extra source, read once).
 // The lowered execution backend (runtime/lowered_program.hpp) pre-resolves
 // these per instruction; the interpreter keeps using xor_many.
+//
+// Every table is one instantiation of the loop template in xor_loops.hpp
+// (internal to src/kernel/), over the ISA's word: unrolled accumulators, one
+// word at a time, then the ISA's tail (a masked lane on AVX-512, bytes
+// elsewhere).
 #pragma once
 
 #include <cstddef>
@@ -87,23 +92,5 @@ const char* isa_name(Isa isa);
 /// Inverse of isa_name for the spec grammar / XOREC_FORCE_ISA values;
 /// nullopt for unknown names.
 std::optional<Isa> parse_isa(const char* name);
-
-// Implementations (exposed for tests/benches; prefer kernel_table()).
-void xor_many_scalar(uint8_t* dst, const uint8_t* const* srcs, size_t k, size_t len);
-void xor_many_word64(uint8_t* dst, const uint8_t* const* srcs, size_t k, size_t len);
-const KernelTable& scalar_table();
-const KernelTable& word64_table();
-#if defined(XOREC_HAVE_AVX2)
-void xor_many_avx2(uint8_t* dst, const uint8_t* const* srcs, size_t k, size_t len);
-const KernelTable& avx2_table();
-#endif
-#if defined(XOREC_HAVE_AVX512)
-void xor_many_avx512(uint8_t* dst, const uint8_t* const* srcs, size_t k, size_t len);
-const KernelTable& avx512_table();
-#endif
-#if defined(XOREC_HAVE_NEON)
-void xor_many_neon(uint8_t* dst, const uint8_t* const* srcs, size_t k, size_t len);
-const KernelTable& neon_table();
-#endif
 
 }  // namespace xorec::kernel

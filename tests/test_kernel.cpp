@@ -2,10 +2,12 @@
 // length (including ragged tails), misalignment and exact-alias dst==src.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <vector>
 
 #include "kernel/xor_kernel.hpp"
+#include "kernel/xor_loops.hpp"
 
 namespace k = xorec::kernel;
 
@@ -23,6 +25,46 @@ std::vector<uint8_t> oracle(const std::vector<std::vector<uint8_t>>& srcs, size_
   for (const auto& s : srcs)
     for (size_t i = 0; i < len; ++i) out[i] ^= s[i];
   return out;
+}
+
+/// The NEON family's instantiation (xor_neon.cpp) without its aarch64 gate:
+/// 16-byte words, four accumulators, byte tail. Off ARM, Isa::Neon degrades
+/// to word64, so this is the only run of the NEON loop shape there.
+const k::KernelTable& neon_shape_table() {
+  typedef uint8_t V __attribute__((vector_size(16)));
+  static constexpr k::KernelTable t = k::make_table<V, 4>(k::Isa::Neon);
+  return t;
+}
+
+/// fixed[arity], accum[arity] and many over `arity` random sources of `len`.
+void expect_table_matches_oracle(const k::KernelTable& kt, size_t arity, size_t len) {
+  std::vector<std::vector<uint8_t>> srcs;
+  std::vector<const uint8_t*> ptrs;
+  for (size_t j = 0; j < arity; ++j) {
+    srcs.push_back(random_bytes(len, static_cast<uint32_t>(2000 + j)));
+    ptrs.push_back(srcs.back().data());
+  }
+  const auto expected = oracle(srcs, len);
+
+  ASSERT_NE(kt.fixed[arity], nullptr) << k::isa_name(kt.isa);
+  std::vector<uint8_t> dst(len, 0xEE);
+  kt.fixed[arity](dst.data(), ptrs.data(), len);
+  EXPECT_EQ(dst, expected) << "fixed[" << arity << "] " << k::isa_name(kt.isa);
+
+  // accum[arity]: dst ^= srcs...  (dst pre-seeded, folded into the oracle).
+  ASSERT_NE(kt.accum[arity], nullptr) << k::isa_name(kt.isa);
+  auto acc = random_bytes(len, 999);
+  std::vector<uint8_t> acc_expected(len);
+  for (size_t i = 0; i < len; ++i) acc_expected[i] = static_cast<uint8_t>(acc[i] ^ expected[i]);
+  kt.accum[arity](acc.data(), ptrs.data(), len);
+  EXPECT_EQ(acc, acc_expected) << "accum[" << arity << "] " << k::isa_name(kt.isa);
+
+  // many: the variadic form over the same sources. (The suite name keeps
+  // its "Nt" so test IDs stay stable; the table has no streaming-store form.)
+  ASSERT_NE(kt.many, nullptr) << k::isa_name(kt.isa);
+  std::vector<uint8_t> var(len, 0xEE);
+  kt.many(var.data(), ptrs.data(), arity, len);
+  EXPECT_EQ(var, expected) << "many " << k::isa_name(kt.isa);
 }
 
 }  // namespace
@@ -65,34 +107,7 @@ class KernelTableSweep : public ::testing::TestWithParam<std::tuple<k::Isa, size
 
 TEST_P(KernelTableSweep, FixedAccumNtMatchOracle) {
   const auto [isa, arity, len] = GetParam();
-  const k::KernelTable& kt = k::kernel_table(isa);
-  std::vector<std::vector<uint8_t>> srcs;
-  std::vector<const uint8_t*> ptrs;
-  for (size_t j = 0; j < arity; ++j) {
-    srcs.push_back(random_bytes(len, static_cast<uint32_t>(2000 + j)));
-    ptrs.push_back(srcs.back().data());
-  }
-  const auto expected = oracle(srcs, len);
-
-  ASSERT_NE(kt.fixed[arity], nullptr) << k::isa_name(kt.isa);
-  std::vector<uint8_t> dst(len, 0xEE);
-  kt.fixed[arity](dst.data(), ptrs.data(), len);
-  EXPECT_EQ(dst, expected) << "fixed[" << arity << "] " << k::isa_name(kt.isa);
-
-  // accum[arity]: dst ^= srcs...  (dst pre-seeded, folded into the oracle).
-  ASSERT_NE(kt.accum[arity], nullptr) << k::isa_name(kt.isa);
-  auto acc = random_bytes(len, 999);
-  std::vector<uint8_t> acc_expected(len);
-  for (size_t i = 0; i < len; ++i) acc_expected[i] = static_cast<uint8_t>(acc[i] ^ expected[i]);
-  kt.accum[arity](acc.data(), ptrs.data(), len);
-  EXPECT_EQ(acc, acc_expected) << "accum[" << arity << "] " << k::isa_name(kt.isa);
-
-  // many: the variadic form over the same sources. (The suite name keeps
-  // its "Nt" so test IDs stay stable; the table has no streaming-store form.)
-  ASSERT_NE(kt.many, nullptr) << k::isa_name(kt.isa);
-  std::vector<uint8_t> var(len, 0xEE);
-  kt.many(var.data(), ptrs.data(), arity, len);
-  EXPECT_EQ(var, expected) << "many " << k::isa_name(kt.isa);
+  expect_table_matches_oracle(k::kernel_table(isa), arity, len);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -103,6 +118,86 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<size_t>(1, 31, 63, 64, 65, 96, 127, 129, 1000,
                                                  4096)),
     kernel_sweep_name);
+
+class NeonShapeTableSweep : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
+
+TEST_P(NeonShapeTableSweep, FixedAccumManyMatchOracle) {
+  const auto [arity, len] = GetParam();
+  expect_table_matches_oracle(neon_shape_table(), arity, len);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Vec16x4, NeonShapeTableSweep,
+    ::testing::Combine(::testing::Values<size_t>(1, 2, 3, 4, 5, 6, 7, 8),
+                       ::testing::Values<size_t>(1, 31, 63, 64, 65, 96, 127, 129, 1000,
+                                                 4096)),
+    [](const ::testing::TestParamInfo<std::tuple<size_t, size_t>>& info) {
+      return "k" + std::to_string(std::get<0>(info.param)) + "_len" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+// ---- Tails: every residue of every loop step, misaligned, guarded ----------
+
+struct TailCase {
+  const char* name;
+  const k::KernelTable& (*table)();
+};
+
+template <k::Isa I>
+const k::KernelTable& table_of() {
+  return k::kernel_table(I);
+}
+
+class KernelTailResidue : public ::testing::TestWithParam<TailCase> {};
+
+TEST_P(KernelTailResidue, EveryLengthArityAndOffset) {
+  // Lengths 1..257 leave every residue of a 128-byte iteration and of each
+  // word step; a write past dst + len lands in the guard bytes. dst sits at
+  // offset 1 with the sources at 3, then the reverse. Arities 9 and 10 take
+  // many's run-time-count loop.
+  const k::KernelTable& kt = GetParam().table();
+  constexpr size_t kMaxLen = 257, kGuard = 64, kMaxArity = 10;
+  std::vector<std::vector<uint8_t>> srcs;
+  for (size_t j = 0; j < kMaxArity; ++j)
+    srcs.push_back(random_bytes(kMaxLen + 3, static_cast<uint32_t>(3000 + j)));
+  const auto dst_init = random_bytes(kMaxLen + 3, 3999);
+  enum Form { Fixed, Accum, Many };
+  for (size_t off : {1, 3}) {
+    for (size_t arity = 1; arity <= kMaxArity; ++arity) {
+      std::vector<const uint8_t*> ptrs;
+      for (size_t j = 0; j < arity; ++j) ptrs.push_back(srcs[j].data() + (off ^ 2));
+      for (size_t len = 1; len <= kMaxLen; ++len) {
+        for (Form form : {Fixed, Accum, Many}) {
+          if (form != Many && arity > k::kMaxFixedArity) continue;
+          std::vector<uint8_t> buf(off + len + kGuard, 0xA5);
+          std::copy(dst_init.begin(), dst_init.begin() + len, buf.begin() + off);
+          std::vector<uint8_t> want = buf;
+          for (size_t i = 0; i < len; ++i) {
+            uint8_t x = form == Accum ? want[off + i] : 0;
+            for (const uint8_t* p : ptrs) x ^= p[i];
+            want[off + i] = x;
+          }
+          uint8_t* dst = buf.data() + off;
+          if (form == Fixed) kt.fixed[arity](dst, ptrs.data(), len);
+          if (form == Accum) kt.accum[arity](dst, ptrs.data(), len);
+          if (form == Many) kt.many(dst, ptrs.data(), arity, len);
+          ASSERT_EQ(buf, want) << k::isa_name(kt.isa) << " form " << form << " k" << arity
+                               << " len" << len << " dst offset " << off;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HostIsas, KernelTailResidue,
+    ::testing::Values(
+        TailCase{"scalar", &table_of<k::Isa::Scalar>},
+        TailCase{"word64", &table_of<k::Isa::Word64>},
+        TailCase{"avx2", &table_of<k::Isa::Avx2>},
+        TailCase{"avx512", &table_of<k::Isa::Avx512>},
+        TailCase{"neon_shape", &neon_shape_table}),
+    [](const ::testing::TestParamInfo<TailCase>& info) { return std::string(info.param.name); });
 
 TEST(KernelTable, DegradesToHostSupport) {
   // Requesting a family the host lacks lands on a runnable fallback, and
